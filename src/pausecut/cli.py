@@ -49,47 +49,29 @@ STRATEGIES = ("fixed", "vad", "srpol", "hybrid", "hybrid-force")
 STREAMABLE = ("hybrid", "hybrid-force")
 ENV_PREFIX = "PAUSECUT_"
 
-DEFAULTS = {
-    "strategy": "hybrid",
-    "length": 20.0,
-    "min_len": 17.0,
-    "max_len": 20.0,
-    "juncture_ms": 550,
-    "aggressiveness": 2,
-    "frame_ms": 20,
-    "min_pause_ms": None,
-    "streaming": False,
-    "format": "yaml",
-    "emit_dropped": False,
-    "raw_rate": None,
-    "output": "-",
-    "jobs": None,
-    "total_duration": None,
-    "tolerance": 0.5,
-    "duration_slack": 0.03,
-    "json": False,
+# Each option's default and the converter for its text form (config file,
+# environment); a None converter marks a boolean.
+OPTIONS = {
+    "strategy": ("hybrid", str),
+    "length": (20.0, float),
+    "min_len": (17.0, float),
+    "max_len": (20.0, float),
+    "juncture_ms": (550, int),
+    "aggressiveness": (2, int),
+    "frame_ms": (20, int),
+    "min_pause_ms": (None, int),
+    "streaming": (False, None),
+    "format": ("yaml", str),
+    "emit_dropped": (False, None),
+    "raw_rate": (None, int),
+    "output": ("-", str),
+    "jobs": (None, int),
+    "total_duration": (None, float),
+    "tolerance": (0.5, float),
+    "duration_slack": (0.03, float),
+    "json": (False, None),
 }
-
-_CONVERTERS = {
-    "strategy": str,
-    "length": float,
-    "min_len": float,
-    "max_len": float,
-    "juncture_ms": int,
-    "aggressiveness": int,
-    "frame_ms": int,
-    "min_pause_ms": int,
-    "streaming": None,  # bool, handled specially
-    "format": str,
-    "emit_dropped": None,
-    "raw_rate": int,
-    "output": str,
-    "jobs": int,
-    "total_duration": float,
-    "tolerance": float,
-    "duration_slack": float,
-    "json": None,
-}
+DEFAULTS = {key: default for key, (default, _) in OPTIONS.items()}
 
 
 class CliError(Exception):
@@ -98,7 +80,7 @@ class CliError(Exception):
 
 def _coerce(key: str, raw):
     if isinstance(raw, str):
-        conv = _CONVERTERS.get(key, str)
+        conv = OPTIONS[key][1]
         if conv is None:  # boolean
             low = raw.strip().lower()
             if low in ("1", "true", "yes", "on"):
@@ -246,28 +228,25 @@ def _segment_clip(clip: AudioClip, cfg: dict) -> list[Segment]:
     if strategy == "vad":
         return segment_vad_merge(classify(clip, vad_cfg))
 
-    if strategy in STREAMABLE and cfg["streaming"]:
-        force = strategy == "hybrid-force"
-        params = HybridParams(cfg["min_len"], cfg["max_len"], force, cfg["juncture_ms"])
+    if strategy == "srpol":
+        track = classify(clip, vad_cfg)
+        if track.duration == 0:
+            return []
+        pauses = detect_pauses(track, cfg["min_pause_ms"])
+        return segment_srpol(Segment(0.0, track.duration), pauses, SrpolParams(cfg["max_len"]))
+
+    force = strategy == "hybrid-force"
+    params = HybridParams(cfg["min_len"], cfg["max_len"], force, cfg["juncture_ms"])
+    if cfg["streaming"]:
         engine = StreamingSegmenter(params, vad_cfg)
         segments = []
         for frame in iter_frames(clip, vad_cfg.frame_ms):
             segments.extend(engine.push_frame(frame))
-        segments.extend(engine.flush())
-        return segments
-
+        return segments + engine.flush()
     track = classify(clip, vad_cfg)
     pauses = detect_pauses(track, cfg["min_pause_ms"])
-    total = track.duration
-    if strategy == "srpol":
-        if total == 0:
-            return []
-        return segment_srpol(Segment(0.0, total), pauses, SrpolParams(cfg["max_len"]))
-    force = strategy == "hybrid-force"
-    params = HybridParams(cfg["min_len"], cfg["max_len"], force, cfg["juncture_ms"])
-    if force:
-        return segment_hybrid_force(pauses, total, params)
-    return segment_hybrid(pauses, total, params)
+    scan = segment_hybrid_force if force else segment_hybrid
+    return scan(pauses, track.duration, params)
 
 
 def _effective_header(cfg: dict, total_duration: float) -> dict:
@@ -303,6 +282,11 @@ def _cmd_segment(args: argparse.Namespace) -> int:
         if cfg["strategy"] == "srpol":
             raise CliError("strategy requires full audio: srpol cannot run with --streaming")
         raise CliError(f"--streaming is not supported for strategy {cfg['strategy']!r}")
+    if cfg["streaming"] and (cfg["min_pause_ms"] or 0) > cfg["frame_ms"]:
+        raise CliError(
+            f"--streaming cannot honour --min-pause-ms {cfg['min_pause_ms']} above "
+            f"--frame-ms {cfg['frame_ms']}: a pause's length is unknown at the horizon"
+        )
 
     def process(path: str) -> tuple[float, list]:
         clip = _load_clip(path, cfg["raw_rate"])

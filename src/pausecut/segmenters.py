@@ -37,12 +37,11 @@ adjacent segments share the identical value and tilings are exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
 from .audio import frame_time
-from .vad import FrameLabelTrack, Pause
+from .vad import FrameLabelTrack, Pause, label_runs
 
 
 @dataclass(frozen=True)
@@ -126,18 +125,11 @@ def segment_vad_merge(track: FrameLabelTrack) -> list[Segment]:
     two together tile the full frame timeline.
     """
     labels = track.labels
-    if len(labels) == 0:
-        return []
-    change = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [len(labels)]))
     return [
         Segment(
-            frame_time(int(a), track.frame_ms),
-            frame_time(int(b), track.frame_ms),
-            kept=bool(labels[a]),
+            frame_time(a, track.frame_ms), frame_time(b, track.frame_ms), kept=bool(labels[a])
         )
-        for a, b in zip(starts, ends)
+        for a, b in label_runs(labels)
     ]
 
 
@@ -177,7 +169,7 @@ def segment_hybrid(pauses: list[Pause], total_duration: float, params: HybridPar
     if params.force_split:
         raise ValueError("params.force_split must be False for segment_hybrid")
     _check_sorted(pauses)
-    return _scan(pauses, total_duration, params, force=False)
+    return split_to_end(pauses, 0.0, total_duration, params)
 
 
 def segment_hybrid_force(
@@ -187,7 +179,7 @@ def segment_hybrid_force(
     if not params.force_split:
         raise ValueError("params.force_split must be True for segment_hybrid_force")
     _check_sorted(pauses)
-    return _scan(pauses, total_duration, params, force=True)
+    return split_to_end(pauses, 0.0, total_duration, params)
 
 
 def _check_sorted(pauses: list[Pause]) -> None:
@@ -211,9 +203,8 @@ def forced_boundary(
     A pause qualifies if it begins inside the window and its effective
     duration reaches the juncture threshold.
     """
-    for p in pauses:
-        if p.start < start:
-            continue
+    for i in range(bisect_left(pauses, start, key=lambda p: p.start), len(pauses)):
+        p = pauses[i]
         if p.start >= horizon:
             return None
         eff = effective_duration(p, horizon)
@@ -228,7 +219,8 @@ def window_boundary(
     """Longest-pause split inside the min/max window, else the horizon."""
     best = None
     best_eff = 0.0
-    for p in pauses:
+    for i in range(bisect_left(pauses, start, key=lambda p: p.start), len(pauses)):
+        p = pauses[i]
         off = p.start - start
         if off < params.min_len:
             continue
@@ -242,19 +234,42 @@ def window_boundary(
     return best.start + best_eff / 2
 
 
-def _scan(pauses: list[Pause], total: float, params: HybridParams, force: bool) -> list[Segment]:
+def split_until(
+    pauses: list[Pause],
+    start: float,
+    now: float,
+    params: HybridParams,
+    open_start: float | None = None,
+) -> list[Segment]:
+    """Every segment from `start` whose boundary the audio up to `now` settles.
+
+    `pauses` have closed by `now`.  A pause still open since `open_start`
+    counts once `now` reaches the horizon, credited up to `now`: the
+    horizon truncates it, so its final length cannot matter.
+    """
     out = []
-    s = 0.0
+    s = start
     while True:
         horizon = s + params.max_len
-        b = forced_boundary(pauses, s, horizon, params.juncture) if force else None
+        at_horizon = now >= horizon
+        known = pauses
+        if at_horizon and open_start is not None:
+            known = pauses + [Pause(open_start, now - open_start, now)]
+        b = forced_boundary(known, s, horizon, params.juncture) if params.force_split else None
         if b is None:
-            if total >= horizon:
-                b = window_boundary(pauses, s, horizon, params)
-            else:
-                break
+            if not at_horizon:
+                return out
+            b = window_boundary(known, s, horizon, params)
         out.append(Segment(s, b))
         s = b
-    if total > s:
-        out.append(Segment(s, total))
+
+
+def split_to_end(
+    pauses: list[Pause], start: float, end: float, params: HybridParams
+) -> list[Segment]:
+    """Tile [start, end) with the settled splits plus the remainder segment."""
+    out = split_until(pauses, start, end, params)
+    s = out[-1].end if out else start
+    if end > s:
+        out.append(Segment(s, end))
     return out

@@ -13,27 +13,32 @@ become determined.  Determination points:
   end time reaches the horizon.
 
 Because pauses are credited only up to the horizon (see the segmenters
-module), every decision uses past frames only, and the concatenation of
-push emissions plus the flush remainder equals the batch segmenter run on
-the full pause inventory -- exactly, not approximately.  The engine
-therefore never holds more than one horizon of audio: buffered frames
-span at most max_len plus the frame in flight.
+module), every decision uses past frames only.  Each push runs the batch
+scan (`split_until`) on the pauses seen so far, so push emissions plus
+the flush remainder equal the batch result -- exactly, not approximately.
+
+The engine holds no audio: only the VAD's floor window and hangover, the
+stream position, the open non-speech run and the pauses of the open
+segment, which are dropped as its segments go out.  `buffered_frames`,
+the pushed frames not yet covered by an emitted segment, is derived; it
+never exceeds max_len plus the frame in flight.
 
 One engine instance per stream.  The state is single-owner: move it
-between threads, never share it.  Checkpointing serializes the whole
-state as a versioned opaque blob (internal format, not a contract).
+between threads, never share it.  A checkpoint is versioned JSON of the
+explicit state; restoring one reads data and never executes it.
 """
 
 from __future__ import annotations
 
-import pickle
-from collections import deque
+import json
+from bisect import bisect_left, bisect_right
+from dataclasses import asdict
 
 from .audio import Frame, frame_time
-from .segmenters import HybridParams, Segment, forced_boundary, window_boundary
+from .segmenters import HybridParams, Segment, split_to_end, split_until
 from .vad import EnergyVad, Pause, VadConfig, frame_energy
 
-_STATE_VERSION = 1
+_STATE_VERSION = 2
 
 
 class StreamingSegmenter:
@@ -47,12 +52,14 @@ class StreamingSegmenter:
         self._frames_pushed = 0
         self._run_start: int | None = None  # first frame of the open non-speech run
         self._pauses: list[Pause] = []  # closed, start >= segment start
-        self._buffer: deque[Frame] = deque()
         self._finished = False
 
     @property
     def buffered_frames(self) -> int:
-        return len(self._buffer)
+        """Pushed frames whose end lies after the segment start."""
+        fm = self.vad_config.frame_ms
+        ends = range(1, self._frames_pushed + 1)  # frame k - 1 ends at frame_time(k)
+        return len(ends) - bisect_right(ends, self._segment_start, key=lambda k: frame_time(k, fm))
 
     @property
     def frames_pushed(self) -> int:
@@ -66,31 +73,26 @@ class StreamingSegmenter:
         """Consume the next frame; return the segments it determined."""
         if self._finished:
             raise RuntimeError("stream already flushed")
-        if frame.frame_ms != self.vad_config.frame_ms:
-            raise ValueError(
-                f"frame is {frame.frame_ms} ms but the engine expects {self.vad_config.frame_ms} ms"
-            )
+        fm = self.vad_config.frame_ms
+        if frame.frame_ms != fm:
+            raise ValueError(f"frame is {frame.frame_ms} ms but the engine expects {fm} ms")
         if frame.index != self._frames_pushed:
             raise ValueError(
                 f"out-of-order frame: expected index {self._frames_pushed}, got {frame.index}"
             )
 
-        speech = self._vad.step(frame_energy(frame.samples))
-        idx = frame.index
-        if speech:
+        if self._vad.step(frame_energy(frame.samples)):
             if self._run_start is not None:
-                self._pauses.append(
-                    Pause.from_frames(self._run_start, idx - 1, self.vad_config.frame_ms)
-                )
+                self._pauses.append(Pause.from_frames(self._run_start, frame.index - 1, fm))
                 self._run_start = None
         elif self._run_start is None:
-            self._run_start = idx
+            self._run_start = frame.index
 
         self._frames_pushed += 1
-        self._buffer.append(frame)
-        emitted = self._drain(frame_time(self._frames_pushed, self.vad_config.frame_ms))
-        self._trim()
-        return emitted
+        now = frame_time(self._frames_pushed, fm)
+        open_start = None if self._run_start is None else frame_time(self._run_start, fm)
+        segments = split_until(self._pauses, self._segment_start, now, self.params, open_start)
+        return self._emit(segments)
 
     def flush(self) -> list[Segment]:
         """Close the stream and emit everything still pending."""
@@ -102,60 +104,54 @@ class StreamingSegmenter:
             self._pauses.append(Pause.from_frames(self._run_start, self._frames_pushed - 1, fm))
             self._run_start = None
         end = frame_time(self._frames_pushed, fm)
-        emitted = self._drain(end)
-        if end > self._segment_start:
-            emitted.append(Segment(self._segment_start, end))
-            self._segment_start = end
-        self._buffer.clear()
-        return emitted
+        return self._emit(split_to_end(self._pauses, self._segment_start, end, self.params))
 
-    def _drain(self, now: float) -> list[Segment]:
-        """Emit all boundaries determined by stream time `now`."""
-        emitted = []
-        while True:
-            horizon = self._segment_start + self.params.max_len
-            at_horizon = now >= horizon
-            pauses = self._known_pauses(now) if at_horizon else self._pauses
-            b = None
-            if self.params.force_split:
-                b = forced_boundary(pauses, self._segment_start, horizon, self.params.juncture)
-            if b is None:
-                if not at_horizon:
-                    break
-                b = window_boundary(pauses, self._segment_start, horizon, self.params)
-            emitted.append(Segment(self._segment_start, b))
-            self._segment_start = b
-        return emitted
-
-    def _known_pauses(self, now: float) -> list[Pause]:
-        """Closed pauses plus the open run, credited up to `now`.
-
-        Only consulted at or past the horizon, where the open run is
-        certain to be truncated, so its final length is irrelevant.
-        """
-        if self._run_start is None:
-            return self._pauses
-        start = frame_time(self._run_start, self.vad_config.frame_ms)
-        return self._pauses + [Pause(start=start, duration=now - start, end=now)]
-
-    def _trim(self) -> None:
-        s = self._segment_start
-        self._pauses = [p for p in self._pauses if p.start >= s]
-        fm = self.vad_config.frame_ms
-        while self._buffer and frame_time(self._buffer[0].index + 1, fm) <= s:
-            self._buffer.popleft()
+    def _emit(self, segments: list[Segment]) -> list[Segment]:
+        if segments:
+            self._segment_start = segments[-1].end
+            done = bisect_left(self._pauses, self._segment_start, key=lambda p: p.start)
+            del self._pauses[:done]
+        return segments
 
     # -- checkpointing -----------------------------------------------------
 
     def save_state(self) -> bytes:
-        """Opaque versioned snapshot of the whole engine state."""
-        return pickle.dumps((_STATE_VERSION, self.__dict__))
+        """Versioned JSON snapshot of the engine state (no audio, no code)."""
+        state = {
+            "version": _STATE_VERSION,
+            "params": asdict(self.params),
+            "vad_config": asdict(self.vad_config),
+            "vad_window": list(self._vad._window),
+            "vad_hangover": self._vad._hang,
+            "segment_start": self._segment_start,
+            "frames_pushed": self._frames_pushed,
+            "run_start": self._run_start,
+            "finished": self._finished,
+            "pauses": [p.frame_span for p in self._pauses],
+        }
+        return json.dumps(state, separators=(",", ":")).encode()
 
     @classmethod
     def restore_state(cls, blob: bytes) -> "StreamingSegmenter":
-        version, state = pickle.loads(blob)
-        if version != _STATE_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        engine = cls.__new__(cls)
-        engine.__dict__.update(state)
+        """Rebuild an engine from :meth:`save_state` output.
+
+        Raises ValueError for anything but a checkpoint of this version.
+        """
+        try:
+            state = json.loads(blob)
+            if state["version"] != _STATE_VERSION:
+                raise ValueError(f"found version {state['version']!r}")
+            engine = cls(HybridParams(**state["params"]), VadConfig(**state["vad_config"]))
+            vad = engine._vad
+            vad._window.extend(float(e) for e in state["vad_window"])
+            vad._sorted = sorted(vad._window)
+            vad._hang = state["vad_hangover"]
+            engine._segment_start = state["segment_start"]
+            engine._frames_pushed = state["frames_pushed"]
+            engine._run_start = state["run_start"]
+            engine._finished = state["finished"]
+            fm = engine.vad_config.frame_ms
+            engine._pauses = [Pause.from_frames(a, b, fm) for a, b in state["pauses"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"not a version {_STATE_VERSION} checkpoint: {exc}") from exc
         return engine

@@ -224,13 +224,16 @@ def detect_pauses(track: FrameLabelTrack, min_pause_ms: int | None = None) -> li
             f"min_pause_ms ({min_pause_ms}) must be at least one frame ({track.frame_ms} ms)"
         )
     labels = track.labels
+    return [
+        Pause.from_frames(a, b - 1, track.frame_ms)
+        for a, b in label_runs(labels)
+        if not labels[a] and (b - a) * track.frame_ms >= min_pause_ms
+    ]
+
+
+def label_runs(labels: np.ndarray) -> list[tuple[int, int]]:
+    """(first, end) frame indices, end exclusive, of each maximal same-label run."""
     if len(labels) == 0:
         return []
-    change = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [len(labels)]))
-    pauses = []
-    for a, b in zip(starts, ends):
-        if not labels[a] and (b - a) * track.frame_ms >= min_pause_ms:
-            pauses.append(Pause.from_frames(int(a), int(b) - 1, track.frame_ms))
-    return pauses
+    cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
+    return list(zip([0] + cuts, cuts + [len(labels)]))

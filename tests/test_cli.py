@@ -1,6 +1,8 @@
+import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from pausecut import compute_stats, read_wav, write_wav
@@ -8,7 +10,7 @@ from pausecut.cli import main
 from pausecut.manifest import entries_to_segments, read_manifest, render_manifest, ManifestEntry
 from pausecut.metrics import stats_rows
 
-from conftest import clip_from, silence, tone
+from conftest import clip_from, silence, speechy_clip, tone
 
 
 @pytest.fixture
@@ -120,6 +122,60 @@ class TestSegment:
         bad.write_bytes(b"not audio at all")
         assert run(["segment", bad]) == 1
         assert "bad.wav" in capsys.readouterr().err
+
+
+class TestStreamingOptions:
+    def test_min_pause_flag_rejected(self, talk_wav, capsys):
+        argv = ["segment", "--strategy", "hybrid-force", "--streaming", "--min-pause-ms", "600"]
+        assert run(argv + [talk_wav]) == 1
+        err = capsys.readouterr().err
+        assert "--streaming" in err and "--min-pause-ms" in err
+
+    def test_min_pause_env_rejected(self, talk_wav, monkeypatch, capsys):
+        monkeypatch.setenv("PAUSECUT_MIN_PAUSE_MS", "40")
+        assert run(["segment", "--streaming", talk_wav]) == 1
+        err = capsys.readouterr().err
+        assert "--streaming" in err and "--min-pause-ms" in err
+
+    def test_min_pause_of_one_frame_accepted(self, talk_wav, tmp_path):
+        batch, stream = tmp_path / "b.yaml", tmp_path / "s.yaml"
+        argv = ["segment", "--frame-ms", "30", "--min-pause-ms", "30", talk_wav]
+        assert run(argv + ["-o", batch]) == 0
+        assert run(argv + ["--streaming", "-o", stream]) == 0
+        assert read_manifest(stream)[0] == read_manifest(batch)[0]
+
+    def test_random_options_streaming_equals_batch(self, tmp_path):
+        def without_streaming(text, fmt):
+            lines = text.splitlines()
+            if fmt == "jsonl":
+                head = json.loads(lines[0])
+                del head["config"]["streaming"]
+                return [head] + lines[1:]
+            return [line for line in lines if not line.startswith("# streaming:")]
+
+        rng = np.random.default_rng(0x57E4)
+        wav = tmp_path / "talk.wav"
+        write_wav(wav, speechy_clip(rng, 75.0))
+        for case in range(16):
+            min_len = round(float(rng.uniform(0.5, 15.0)), 3)
+            fmt = str(rng.choice(["yaml", "jsonl"]))
+            argv = [
+                "segment",
+                "--strategy", str(rng.choice(["hybrid", "hybrid-force"])),
+                "--min-len", min_len,
+                "--max-len", round(min_len + float(rng.uniform(0.0, 10.0)), 3),
+                "--juncture-ms", int(rng.integers(50, 1500)),
+                "--aggressiveness", int(rng.integers(0, 4)),
+                "--frame-ms", int(rng.choice([10, 20, 30])),
+                "--format", fmt,
+                wav,
+            ]
+            batch, stream = tmp_path / f"b{case}", tmp_path / f"s{case}"
+            assert run(argv + ["-o", batch]) == 0
+            assert run(argv + ["--streaming", "-o", stream]) == 0
+            b, s = batch.read_text(), stream.read_text()
+            assert b != s
+            assert without_streaming(b, fmt) == without_streaming(s, fmt), argv
 
 
 class TestConfigResolution:

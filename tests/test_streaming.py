@@ -1,3 +1,8 @@
+import json
+import pickle
+from collections import deque
+
+import numpy as np
 import pytest
 
 from pausecut import (
@@ -13,6 +18,20 @@ from pausecut import (
 from pausecut.audio import frame_time
 
 from conftest import clip_from, silence, speechy_clip, tone
+
+CALLS = []
+
+
+def _record(tag):
+    CALLS.append(tag)
+
+
+class _Exploit:
+    """Unpickling this object calls _record."""
+
+    def __reduce__(self):
+        return (_record, ("unpickled",))
+
 
 CFG = VadConfig(2, 20)
 PLAIN = HybridParams(17.0, 20.0, False, 550)
@@ -172,7 +191,102 @@ class TestBatchEquivalence:
             assert now - covered_to <= PLAIN.max_len + 0.02 + 1e-12
 
 
+def random_params(rng):
+    min_len = float(rng.uniform(0.5, 10.0))
+    max_len = min_len + float(rng.uniform(0.0, 10.0))
+    return HybridParams(min_len, max_len, bool(rng.random() < 0.5), int(rng.integers(100, 1200)))
+
+
+class TestBufferedFrames:
+    @pytest.mark.parametrize("frame_ms", [10, 20, 30])
+    def test_equals_reference_count(self, rng, frame_ms):
+        # reference: the pushed frames whose end lies after segment_start,
+        # kept as a queue the way a frame-holding engine would
+        for _ in range(6):
+            clip = speechy_clip(rng, float(rng.uniform(5.0, 40.0)))
+            cfg = VadConfig(int(rng.integers(0, 4)), frame_ms)
+            engine = StreamingSegmenter(random_params(rng), cfg)
+            held = deque()
+            for frame in frames(clip, frame_ms):
+                engine.push_frame(frame)
+                held.append(frame.index)
+                while held and frame_time(held[0] + 1, frame_ms) <= engine.segment_start:
+                    held.popleft()
+                assert engine.buffered_frames == len(held)
+            engine.flush()
+            assert engine.buffered_frames == 0
+
+
+def _stream(engine, fs):
+    out = []
+    for f in fs:
+        out.extend(engine.push_frame(f))
+    return out
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("params", [PLAIN, FORCE], ids=["plain", "force"])
+    def test_resume_from_every_kind_of_state(self, rng, params):
+        clips = [
+            speechy_clip(rng, 30.0),
+            # a pause open across the horizon, split there and still open after
+            clip_from(tone(5.0), silence(25.0), tone(5.0)),
+        ]
+        for clip in clips:
+            fs = frames(clip, 20)
+            solid = StreamingSegmenter(params, CFG)
+            kinds = {"cold start": [], "hangover": [], "open pause": []}
+            expect = []
+            for f in fs:
+                expect.extend(solid.push_frame(f))
+                n = solid.frames_pushed
+                if n < 100:
+                    kinds["cold start"].append(n)
+                if 0 < solid._vad._hang < CFG.hangover:
+                    kinds["hangover"].append(n)
+                if solid._run_start is not None:
+                    kinds["open pause"].append(n)
+            expect.extend(solid.flush())
+            for kind, cuts in kinds.items():
+                assert cuts, kind
+                for cut in (cuts[0], cuts[len(cuts) // 2], cuts[-1]):
+                    engine = StreamingSegmenter(params, CFG)
+                    got = _stream(engine, fs[:cut])
+                    blob = engine.save_state()
+                    assert len(blob) <= 4096
+                    resumed = StreamingSegmenter.restore_state(blob)
+                    assert resumed.save_state() == blob
+                    assert resumed.buffered_frames == engine.buffered_frames
+                    got.extend(_stream(resumed, fs[cut:]))
+                    got.extend(resumed.flush())
+                    assert got == expect, (kind, cut)
+
+    def test_pickle_payload_never_runs(self):
+        blob = pickle.dumps((2, {"state": _Exploit()}))
+        with pytest.raises(ValueError, match="version"):
+            StreamingSegmenter.restore_state(blob)
+        assert CALLS == []
+        pickle.loads(blob)  # the payload is live: unpickling would run it
+        assert CALLS == ["unpickled"]
+        CALLS.clear()
+
+    @pytest.mark.parametrize(
+        "blob",
+        [b"", b"[2]", b'"version"', b'{"version": 1}', b'{"version": 2}', b"\xff\xfe\x00"],
+    )
+    def test_malformed_blob(self, blob):
+        with pytest.raises(ValueError, match="version"):
+            StreamingSegmenter.restore_state(blob)
+
+    def test_blob_is_plain_json(self, rng):
+        engine = StreamingSegmenter(FORCE, CFG)
+        _stream(engine, frames(speechy_clip(rng, 30.0), 20))
+        state = json.loads(engine.save_state())
+        assert state["frames_pushed"] == 1500
+        assert len(state["vad_window"]) == 100
+        assert all(np.isfinite(state["vad_window"]))
+
+
     def test_save_restore_matches_uninterrupted(self, rng):
         clip = speechy_clip(rng, 30.0)
         fs = frames(clip, 20)
