@@ -141,13 +141,14 @@ def decode_wav(data: bytes) -> AudioClip:
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWavError("malformed header: not a RIFF/WAVE stream")
 
+    view = memoryview(data)  # slices share `data` instead of copying the payload
     fmt = None
     payload = None
     pos = 12
     while pos + 8 <= len(data):
         cid, size = struct.unpack_from("<4sI", data, pos)
         pos += 8
-        body = data[pos : pos + size]
+        body = view[pos : pos + size]
         if len(body) < size:
             raise MalformedWavError(f"truncated chunk {cid!r}")
         if cid == b"fmt ":

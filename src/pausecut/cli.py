@@ -282,9 +282,14 @@ def _cmd_segment(args: argparse.Namespace) -> int:
         if cfg["strategy"] == "srpol":
             raise CliError("strategy requires full audio: srpol cannot run with --streaming")
         raise CliError(f"--streaming is not supported for strategy {cfg['strategy']!r}")
-    if cfg["streaming"] and (cfg["min_pause_ms"] or 0) > cfg["frame_ms"]:
+    min_pause = cfg["min_pause_ms"]
+    if cfg["strategy"] != "fixed" and min_pause is not None and min_pause < cfg["frame_ms"]:
         raise CliError(
-            f"--streaming cannot honour --min-pause-ms {cfg['min_pause_ms']} above "
+            f"min_pause_ms ({min_pause}) must be at least one frame ({cfg['frame_ms']} ms)"
+        )
+    if cfg["streaming"] and (min_pause or 0) > cfg["frame_ms"]:
+        raise CliError(
+            f"--streaming cannot honour --min-pause-ms {min_pause} above "
             f"--frame-ms {cfg['frame_ms']}: a pause's length is unknown at the horizon"
         )
 

@@ -18,10 +18,15 @@ The aggressiveness mode (0..3) only selects the multiplier and hangover:
 multipliers grow and hangovers shrink with the mode, and the floor itself
 is mode- and label-independent, so the set of speech-labelled frames can
 only shrink as the mode increases.  The detector is strictly causal: the
-label of frame t depends on frames 0..t only, which is what lets the
-incremental engine reproduce batch labels exactly.  It is NOT
-bit-compatible with WebRTC; only the parameter surface (mode x frame
-size) matches.
+label of frame t depends on frames 0..t only.  It is NOT bit-compatible
+with WebRTC; only the parameter surface (mode x frame size) matches.
+
+The rules have two implementations that give bit-identical labels:
+:meth:`EnergyVad.step`, a per-frame automaton that the streaming engine
+drives, and batch :func:`classify`, which applies them to a whole clip
+with array operations.  Batch memory is bounded: beyond the clip itself
+it holds a few arrays of one value per frame and one partition chunk of
+FLOOR_CHUNK x FLOOR_WINDOW energies, never an int64 copy of the samples.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioClip, Frame, frame_time, num_frames, samples_per_frame
+from .audio import AudioClip, frame_time, num_frames, samples_per_frame
 
 MULTIPLIERS = (2.0, 3.5, 5.0, 8.0)
 HANGOVER_FRAMES = (8, 6, 4, 2)
@@ -41,6 +47,15 @@ FLOOR_QUANTILE = 0.1
 FLOOR_MIN = 1.0
 FLOOR_MAX = 2048.0 * 2048.0
 COLD_START_EPS = 1.0
+# A full window's FLOOR_QUANTILE lies between the ascending ranks
+# _FLOOR_LO and _FLOOR_LO + 1, at _FLOOR_FRAC of the way (linear
+# interpolation); both implementations interpolate with these values.
+_FLOOR_POS = FLOOR_QUANTILE * (FLOOR_WINDOW - 1)
+_FLOOR_LO = int(_FLOOR_POS)
+_FLOOR_FRAC = _FLOOR_POS - _FLOOR_LO
+# Windows per np.partition call in batch classify: its copy is
+# FLOOR_CHUNK x FLOOR_WINDOW float64 (3.3 MB) whatever the clip length.
+FLOOR_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -136,23 +151,29 @@ def frame_energy(samples: np.ndarray) -> float:
 
 
 def frame_energies(clip: AudioClip, frame_ms: int) -> np.ndarray:
-    """Vectorized per-frame energies, identical to frame-by-frame results."""
+    """Per-frame energies, bit-identical to :func:`frame_energy` of each frame.
+
+    einsum squares and sums the int16 samples in int64 through its own
+    small buffer, so no int64 copy of the clip is made; the trailing
+    partial frame is summed on its own (its zero padding adds nothing).
+    """
     spf = samples_per_frame(clip.sample_rate, frame_ms)
-    n = num_frames(clip, frame_ms)
-    if n == 0:
-        return np.zeros(0)
-    padded = np.zeros(n * spf, dtype=np.int64)
-    padded[: len(clip.samples)] = clip.samples
-    sq = padded * padded
-    return sq.reshape(n, spf).sum(axis=1) / spf
+    full = len(clip.samples) // spf
+    sums = np.empty(num_frames(clip, frame_ms), dtype=np.int64)
+    whole = clip.samples[: full * spf].reshape(full, spf)
+    sums[:full] = np.einsum("ij,ij->i", whole, whole, dtype=np.int64)
+    if len(sums) > full:
+        rest = clip.samples[full * spf :].astype(np.int64)
+        sums[full] = rest @ rest
+    return sums / spf
 
 
 class EnergyVad:
     """Incremental frame classifier; one instance per audio stream.
 
-    Mutable and single-owner: feed energies (or frames) in order via
-    :meth:`step`.  Batch :func:`classify` drives the same automaton, so
-    streaming labels match batch labels exactly.
+    Mutable and single-owner: feed energies in order via :meth:`step`.
+    This is the per-frame form of the rules that batch :func:`classify`
+    applies to a whole clip; the two give bit-identical labels.
     """
 
     def __init__(self, config: VadConfig):
@@ -172,7 +193,8 @@ class EnergyVad:
         if len(self._sorted) < FLOOR_WINDOW:
             estimate = self._sorted[0] + COLD_START_EPS
         else:
-            estimate = _quantile(self._sorted, FLOOR_QUANTILE)
+            a, b = self._sorted[_FLOOR_LO], self._sorted[_FLOOR_LO + 1]
+            estimate = a + (b - a) * _FLOOR_FRAC
         floor = min(max(estimate, FLOOR_MIN), FLOOR_MAX)
 
         if energy > floor * self.config.multiplier:
@@ -183,31 +205,34 @@ class EnergyVad:
             return True
         return False
 
-    def step_frame(self, frame: Frame) -> bool:
-        return self.step(frame_energy(frame.samples))
 
-
-def _quantile(sorted_values: list[float], q: float) -> float:
-    """Linear-interpolated quantile of an ascending list."""
-    n = len(sorted_values)
-    pos = q * (n - 1)
-    lo = int(pos)
-    frac = pos - lo
-    if frac == 0.0 or lo + 1 >= n:
-        return sorted_values[lo]
-    return sorted_values[lo] + (sorted_values[lo + 1] - sorted_values[lo]) * frac
+def _noise_floors(energies: np.ndarray) -> np.ndarray:
+    """The clamped noise floor in force at each frame, as :meth:`EnergyVad.step` sees it."""
+    floors = np.empty_like(energies)
+    cold = min(len(energies), FLOOR_WINDOW - 1)
+    floors[:cold] = np.minimum.accumulate(energies[:cold]) + COLD_START_EPS
+    if len(energies) >= FLOOR_WINDOW:
+        windows = sliding_window_view(energies, FLOOR_WINDOW)  # row i ends at frame cold + i
+        for i in range(0, len(windows), FLOOR_CHUNK):
+            ranked = np.partition(windows[i : i + FLOOR_CHUNK], (_FLOOR_LO, _FLOOR_LO + 1), axis=1)
+            a, b = ranked[:, _FLOOR_LO], ranked[:, _FLOOR_LO + 1]
+            floors[cold + i : cold + i + len(ranked)] = a + (b - a) * _FLOOR_FRAC
+    return np.clip(floors, FLOOR_MIN, FLOOR_MAX)
 
 
 def classify(clip: AudioClip, config: VadConfig) -> FrameLabelTrack:
     """Label every frame of `clip` as speech or non-speech.
 
-    Deterministic for fixed input and config.  Framing errors (rate not
-    divisible into frames) propagate from the audio layer.
+    Array form of the rules, bit-identical to feeding each frame's
+    energy to :meth:`EnergyVad.step`: a frame is speech iff it is no more
+    than `hangover` frames after the last raw-speech frame.  Framing
+    errors (rate not divisible into frames) propagate from the audio layer.
     """
     energies = frame_energies(clip, config.frame_ms)
-    vad = EnergyVad(config)
-    labels = np.fromiter((vad.step(e) for e in energies), dtype=bool, count=len(energies))
-    return FrameLabelTrack(labels, config.frame_ms)
+    raw = energies > _noise_floors(energies) * config.multiplier
+    t = np.arange(len(raw))
+    last_raw = np.maximum.accumulate(np.where(raw, t, -config.hangover - 1))
+    return FrameLabelTrack(t - last_raw <= config.hangover, config.frame_ms)
 
 
 def detect_pauses(track: FrameLabelTrack, min_pause_ms: int | None = None) -> list[Pause]:

@@ -45,6 +45,19 @@ def speechy_clip(rng: np.random.Generator, duration_s: float, rate: int = RATE) 
     return AudioClip(samples, rate)
 
 
+def noisy_clip(rng: np.random.Generator, n_samples: int, rate: int, noise: float) -> AudioClip:
+    """`n_samples` of speechy_clip over a Gaussian noise floor of std `noise`."""
+    clean = speechy_clip(rng, n_samples / rate + 1.0, rate).samples[:n_samples]
+    noisy = clean + rng.normal(0.0, noise, n_samples)
+    return AudioClip(np.clip(noisy, -32768, 32767).astype(np.int16), rate)
+
+
+def talk_clip(rng: np.random.Generator, duration_s: float, rate: int = RATE) -> AudioClip:
+    """A long noisy talk, built in 60 s pieces to keep temporaries small."""
+    pieces = [noisy_clip(rng, 60 * rate, rate, 30.0).samples for _ in range(int(duration_s // 60))]
+    return AudioClip(np.concatenate(pieces), rate)
+
+
 def random_pauses(
     rng: np.random.Generator,
     total: float,

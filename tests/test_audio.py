@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from pausecut import (
 )
 from pausecut.audio import frame_time, samples_per_frame
 
-from conftest import clip_from, tone
+from conftest import clip_from, talk_clip, tone
 
 
 def wav_bytes(samples: np.ndarray, rate: int = 16000, channels: int = 1,
@@ -89,6 +90,16 @@ class TestDecodeWav:
         again = decode_wav(encode_wav(clip))
         assert again.sample_rate == clip.sample_rate
         assert np.array_equal(again.samples, clip.samples)
+
+    def test_payload_copied_once(self):
+        data = encode_wav(talk_clip(np.random.default_rng(3), 600.0))
+        tracemalloc.start()
+        try:
+            clip = decode_wav(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * clip.samples.nbytes
 
 
 class TestRawPcm:

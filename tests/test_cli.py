@@ -123,6 +123,23 @@ class TestSegment:
         assert run(["segment", bad]) == 1
         assert "bad.wav" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "strategy,streaming",
+        [("vad", False), ("srpol", False), ("hybrid", False), ("hybrid-force", False),
+         ("hybrid", True), ("hybrid-force", True)],
+    )
+    def test_min_pause_below_frame_rejected_before_reading(
+        self, talk_wav, tmp_path, capsys, strategy, streaming
+    ):
+        out = tmp_path / "out.yaml"
+        argv = ["segment", "--strategy", strategy, "--min-pause-ms", "10", "-o", out]
+        argv += ["--streaming"] if streaming else []
+        assert run(argv + [talk_wav, tmp_path / "missing.wav"]) == 1
+        err = capsys.readouterr().err
+        assert "min_pause_ms (10) must be at least one frame (20 ms)" in err
+        assert "missing.wav" not in err  # rejected before any input is opened
+        assert not out.exists()
+
 
 class TestStreamingOptions:
     def test_min_pause_flag_rejected(self, talk_wav, capsys):

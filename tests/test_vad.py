@@ -1,11 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pausecut import AudioClip, FrameLabelTrack, Pause, VadConfig, classify, detect_pauses
-from pausecut.vad import frame_energies, frame_energy
+from pausecut.audio import iter_frames
+from pausecut.vad import FLOOR_CHUNK, FLOOR_WINDOW, EnergyVad, frame_energies, frame_energy
 
-from conftest import clip_from, silence, speechy_clip, tone
+from conftest import clip_from, noisy_clip, silence, speechy_clip, talk_clip, tone
 from oracles import ref_pause_runs, ref_vad_labels
+
+# Frame counts where batch classify changes regime: the cold start ends
+# after FLOOR_WINDOW - 1 frames, and each FLOOR_CHUNK windows after that
+# start a new partition chunk.
+CHUNK_EDGE = FLOOR_WINDOW - 1 + FLOOR_CHUNK
+EDGE_FRAMES = [0, 1, 98, 99, 100, 101, CHUNK_EDGE - 1, CHUNK_EDGE, CHUNK_EDGE + 1]
+RATE_FRAME = [(8000, 10), (16000, 20), (48000, 30)]
+
+
+def step_labels(energies, config: VadConfig) -> list[bool]:
+    vad = EnergyVad(config)
+    return [vad.step(e) for e in energies]
 
 
 def track(line: str, frame_ms: int = 20) -> FrameLabelTrack:
@@ -57,6 +72,37 @@ class TestClassify:
             got = classify(clip, cfg).labels.tolist()
             assert got == ref_vad_labels(list(frame_energies(clip, 10)), cfg)
 
+    @pytest.mark.parametrize("rate,frame_ms", RATE_FRAME)
+    @pytest.mark.parametrize("n_frames", EDGE_FRAMES)
+    @pytest.mark.parametrize("noise", [0.0, 25.0])
+    def test_batch_equals_reference_and_step(self, rng, rate, frame_ms, n_frames, noise):
+        spf = rate * frame_ms // 1000
+        n_samples = max(0, n_frames * spf - int(rng.integers(0, spf)))  # often a partial last frame
+        clip = noisy_clip(rng, n_samples, rate, noise)
+        energies = frame_energies(clip, frame_ms)
+        assert len(energies) == n_frames
+        for mode in range(4):
+            cfg = VadConfig(mode, frame_ms)
+            got = classify(clip, cfg).labels.tolist()
+            assert got == ref_vad_labels(energies.tolist(), cfg)
+            assert got == step_labels(energies.tolist(), cfg)
+
+    @pytest.mark.parametrize("n_frames", [0, 1, 99, 100, CHUNK_EDGE + 1])
+    def test_all_zero_is_nonspeech_at_any_length(self, n_frames):
+        clip = AudioClip(np.zeros(n_frames * 320, dtype=np.int16), 16000)
+        for mode in range(4):
+            assert not classify(clip, VadConfig(mode, 20)).labels.any()
+
+    def test_allocation_bounded_by_clip(self, rng):
+        clip = talk_clip(rng, 600.0)
+        tracemalloc.start()
+        try:
+            classify(clip, VadConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * clip.samples.nbytes
+
     def test_propagates_framing_errors(self):
         clip = AudioClip(np.zeros(441, dtype=np.int16), 22050)
         with pytest.raises(ValueError, match="incompatible rate/frame"):
@@ -75,6 +121,18 @@ class TestEnergies:
     def test_overflow_safe(self):
         loud = np.full(480, -32768, dtype=np.int16)
         assert frame_energy(loud) == 32768.0 * 32768.0
+        clip = AudioClip(np.full(3 * 480 + 7, -32768, dtype=np.int16), 48000)
+        assert frame_energies(clip, 10).tolist() == [32768.0 * 32768.0] * 3 + [7 * 32768.0 * 32768.0 / 480]
+
+    @pytest.mark.parametrize("rate,frame_ms", RATE_FRAME + [(16000, 10), (16000, 30)])
+    @pytest.mark.parametrize("n_frames", [0, 1, 2, 99, 100])
+    def test_equals_frame_by_frame(self, rng, rate, frame_ms, n_frames):
+        spf = rate * frame_ms // 1000
+        for n_samples in {max(0, n_frames * spf - k) for k in (0, 1, spf // 2, spf - 1)}:
+            clip = AudioClip(rng.integers(-32768, 32768, n_samples).astype(np.int16), rate)
+            got = frame_energies(clip, frame_ms)
+            assert got.dtype == np.float64
+            assert got.tolist() == [frame_energy(f.samples) for f in iter_frames(clip, frame_ms)]
 
 
 class TestDetectPauses:
