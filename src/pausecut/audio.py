@@ -9,6 +9,7 @@ else; this keeps batch and incremental code paths bit-identical.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -136,8 +137,14 @@ def decode_wav(data: bytes) -> AudioClip:
 
     Unknown chunks are skipped.  Malformed containers and unsupported
     encodings (format code, bit depth, channel count) are reported as
-    distinct errors.
+    distinct errors.  The samples are a copy: `data` is the caller's.
     """
+    payload, sample_rate = _wav_payload(data)
+    return AudioClip(np.frombuffer(payload, dtype="<i2").astype(np.int16), sample_rate)
+
+
+def _wav_payload(data) -> tuple[memoryview, int]:
+    """The data chunk of a RIFF/WAVE buffer, as a view, and its sample rate."""
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWavError("malformed header: not a RIFF/WAVE stream")
 
@@ -174,15 +181,19 @@ def decode_wav(data: bytes) -> AudioClip:
 
     if len(payload) % 2:
         payload = payload[:-1]  # stray pad byte
-    samples = np.frombuffer(payload, dtype="<i2").astype(np.int16)
-    return AudioClip(samples, sample_rate)
+    return payload, sample_rate
 
 
 def decode_pcm16(data: bytes, sample_rate: int) -> AudioClip:
-    """Decode headerless little-endian PCM16 mono."""
+    """Decode headerless little-endian PCM16 mono (a copy of `data`)."""
+    return AudioClip(_raw_pcm16(data).astype(np.int16), sample_rate)
+
+
+def _raw_pcm16(data) -> np.ndarray:
+    """The samples of headerless PCM16, viewing `data`."""
     if len(data) % 2:
         raise ValueError("raw PCM16 byte count must be even")
-    return AudioClip(np.frombuffer(data, dtype="<i2").astype(np.int16), sample_rate)
+    return np.frombuffer(data, dtype="<i2")
 
 
 def encode_wav(clip: AudioClip) -> bytes:
@@ -208,8 +219,33 @@ def encode_wav(clip: AudioClip) -> bytes:
 
 
 def read_wav(path) -> AudioClip:
+    """Read a WAV file (see :func:`decode_wav`).
+
+    The samples view the one buffer the file is read into, so reading
+    peaks at the file size rather than twice the payload.
+    """
+    payload, sample_rate = _wav_payload(_read_file(path))
+    return AudioClip(np.frombuffer(payload, dtype="<i2"), sample_rate)
+
+
+def read_pcm16(path, sample_rate: int) -> AudioClip:
+    """Read a headerless PCM16 mono file (see :func:`decode_pcm16`) without a second copy."""
+    return AudioClip(_raw_pcm16(_read_file(path)), sample_rate)
+
+
+def _read_file(path) -> memoryview:
+    """The whole file in one writable buffer that only the caller holds.
+
+    The buffer is a numpy array, which numpy backs with huge pages when it
+    is large, so samples viewing it scan as fast as a copy numpy made.
+    """
     with open(path, "rb") as fh:
-        return decode_wav(fh.read())
+        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        buf = buf[: fh.readinto(buf)]  # the file shrank since the stat
+        rest = fh.read()  # it grew, or is a pipe or device with no size
+    if rest:
+        buf = np.concatenate((buf, np.frombuffer(rest, dtype=np.uint8)))
+    return memoryview(buf)
 
 
 def write_wav(path, clip: AudioClip) -> None:

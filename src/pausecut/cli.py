@@ -21,7 +21,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
-from .audio import AudioClip, WavError, decode_pcm16, iter_frames, read_wav
+from .audio import AudioClip, WavError, iter_frames, read_pcm16, read_wav
 from .manifest import (
     ManifestError,
     coverage_end,
@@ -210,8 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_clip(path: str, raw_rate: int | None) -> AudioClip:
     try:
         if raw_rate is not None:
-            with open(path, "rb") as fh:
-                return decode_pcm16(fh.read(), raw_rate)
+            return read_pcm16(path, raw_rate)
         return read_wav(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc

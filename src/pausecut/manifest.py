@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 
@@ -24,6 +25,11 @@ from .segmenters import Segment
 
 YAML_FORMAT = "yaml"
 JSONL_FORMAT = "jsonl"
+
+# libyaml's loader builds the same objects as the pure-Python one (same
+# constructor and resolver, so the same YAML 1.1 typing) about 6x faster;
+# PyYAML built without libyaml has only the latter.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -79,14 +85,52 @@ def render_manifest(
     raise ValueError(f"unknown manifest format {fmt!r}")
 
 
+# Characters that break a line or end a plain scalar inside `{...}` ("?"
+# ends one there for the pure-Python loader); a plain scalar is runs of
+# the others joined by spaces.  Then the indicators that may not start it.
+_ENDS_PLAIN = " \t\r\n\x85\u2028\u2029,?[]{}"
+_RUN = f"[^{re.escape(_ENDS_PLAIN)}]+"
+_PLAIN_RUNS = re.compile(f"{_RUN}(?: +{_RUN})*")
+_INDICATORS = ":#&*!|>'\"%@`"
+_STR_TAG = "tag:yaml.org,2002:str"
+
+
+def _yaml_scalar(text: str) -> str:
+    """`text` as a flow scalar that loads back as the same string.
+
+    Plain when YAML reads it as written: only characters YAML holds raw
+    (PyYAML's own set), no break, tab or flow indicator, no comment
+    (" #") or key (":" before a space or the end) mark, no indicator
+    first ("-" is one only before a space), and resolved as a string
+    rather than a bool, number, null or date.  Otherwise double-quoted
+    with Python's escapes, which are YAML's; JSON's would spell a
+    character past U+FFFF as a surrogate pair.
+    """
+    plain = (
+        _PLAIN_RUNS.fullmatch(text)
+        and not yaml.reader.Reader.NON_PRINTABLE.search(text)
+        and text[0] not in _INDICATORS
+        and not text.startswith("- ")
+        and " #" not in text
+        and ": " not in text
+        and not text.endswith(":")
+        and yaml.resolver.Resolver().resolve(yaml.ScalarNode, text, (True, False)) == _STR_TAG
+    )
+    if plain:
+        return text
+    return '"' + text.encode("unicode_escape").decode("ascii").replace('"', '\\"') + '"'
+
+
 def _render_yaml(entries: list[ManifestEntry], header: dict) -> str:
     lines = ["# pausecut manifest v1"]
     for key in sorted(header):
         lines.append(f"# {key}: {header[key]}")
+    scalars: dict[str, str] = {}
     for e in entries:
+        wav = scalars.get(e.wav) or scalars.setdefault(e.wav, _yaml_scalar(e.wav))
         extra = ", dropped: true" if e.dropped else ""
         lines.append(
-            f"- {{wav: {e.wav}, offset: {e.offset:.6f}, duration: {e.duration:.6f}{extra}}}"
+            f"- {{wav: {wav}, offset: {e.offset:.6f}, duration: {e.duration:.6f}{extra}}}"
         )
     if not entries:
         lines.append("[]")
@@ -143,7 +187,7 @@ def _parse_yaml(text: str) -> tuple[list[ManifestEntry], dict]:
             key, _, value = body.partition(":")
             header[key.strip()] = value.strip()
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ManifestError(f"invalid YAML manifest: {exc}") from exc
     if data is None:

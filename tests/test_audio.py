@@ -1,4 +1,6 @@
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,8 +15,10 @@ from pausecut import (
     encode_wav,
     frames,
     iter_frames,
+    read_wav,
+    write_wav,
 )
-from pausecut.audio import frame_time, samples_per_frame
+from pausecut.audio import frame_time, read_pcm16, samples_per_frame
 
 from conftest import clip_from, talk_clip, tone
 
@@ -112,6 +116,82 @@ class TestRawPcm:
     def test_odd_length(self):
         with pytest.raises(ValueError, match="even"):
             decode_pcm16(b"\x00\x01\x02", 16000)
+
+
+class TestReadFile:
+    def test_read_wav_holds_payload_once(self, tmp_path):
+        clip = talk_clip(np.random.default_rng(4), 600.0)
+        path = tmp_path / "talk.wav"
+        write_wav(path, clip)
+        tracemalloc.start()
+        try:
+            got = read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.samples, clip.samples)
+        assert peak <= 1.1 * got.samples.nbytes
+
+    def test_read_pcm16_holds_payload_once(self, tmp_path):
+        clip = talk_clip(np.random.default_rng(5), 600.0)
+        path = tmp_path / "talk.pcm"
+        path.write_bytes(clip.samples.tobytes())
+        tracemalloc.start()
+        try:
+            got = read_pcm16(path, 16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.samples, clip.samples)
+        assert peak <= 1.1 * got.samples.nbytes
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            wav_bytes(np.array([3, -3, 7], dtype=np.int16)),
+            wav_bytes(np.zeros(0, dtype=np.int16))[:40] + struct.pack("<I", 5) + b"\x03\x00\xfd\xff\x01\x00",
+            wav_bytes(np.zeros(4, dtype=np.int16), channels=2),
+            wav_bytes(np.zeros(4, dtype=np.int16), bits=8),
+            wav_bytes(np.zeros(100, dtype=np.int16))[:-10],
+            wav_bytes(np.zeros(0, dtype=np.int16))[:36],
+            b"OggS" + b"\x00" * 40,
+            b"",
+        ],
+        ids=["ok", "odd-data-chunk", "stereo", "8-bit", "truncated", "no-data", "not-riff", "empty"],
+    )
+    def test_read_wav_decodes_like_decode_wav(self, tmp_path, data):
+        path = tmp_path / "x.wav"
+        path.write_bytes(data)
+        try:
+            expected = decode_wav(data)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                read_wav(path)
+            assert str(got.value) == str(exc)
+        else:
+            clip = read_wav(path)
+            assert clip.sample_rate == expected.sample_rate
+            assert np.array_equal(clip.samples, expected.samples)
+
+    def test_read_pcm16_from_pipe(self, tmp_path):
+        # a pipe reports no size up front
+        samples = np.arange(-5000, 5000, dtype=np.int16)
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(samples.tobytes(),))
+        writer.start()
+        try:
+            clip = read_pcm16(path, 8000)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(clip.samples, samples)
+
+    def test_read_pcm16_odd_length(self, tmp_path):
+        path = tmp_path / "odd.pcm"
+        path.write_bytes(b"\x00\x01\x02")
+        with pytest.raises(ValueError, match="even"):
+            read_pcm16(path, 16000)
 
 
 class TestFrames:

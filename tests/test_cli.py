@@ -8,7 +8,7 @@ import pytest
 from pausecut import compute_stats, read_wav, write_wav
 from pausecut.cli import main
 from pausecut.manifest import entries_to_segments, read_manifest, render_manifest, ManifestEntry
-from pausecut.metrics import stats_rows
+from pausecut.metrics import boundary_prf, stats_rows
 
 from conftest import clip_from, silence, speechy_clip, tone
 
@@ -325,6 +325,61 @@ class TestCompare:
         assert run(["compare", m, m, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["f1"] == 1.0
+
+
+class TestForeignManifests:
+    # a MuST-C-style reference: extra keys, its own key order, no header
+    MUSTC = (
+        "- {duration: 6.5, offset: 0.0, rW: 17, uW: 0, speaker_id: spk.1, wav: ted_1.wav}\n"
+        "- {duration: 3.25, offset: 7.0, rW: 9, uW: 1, speaker_id: spk.1, wav: ted_1.wav}\n"
+        "- {speaker_id: spk.2, wav: ted_1.wav, offset: 10.25, duration: 9.75, uW: 0, rW: 30}\n"
+    )
+
+    def test_stats_on_mustc_yaml(self, tmp_path, capsys):
+        path = tmp_path / "ref.yaml"
+        path.write_text(self.MUSTC)
+        assert run(["stats", path, "--json"]) == 0
+        entries, _ = read_manifest(path)
+        total = 20.0
+        expected = compute_stats(entries_to_segments(entries, total), total)
+        assert json.loads(capsys.readouterr().out) == {
+            "pct_filtered": expected.pct_filtered,
+            "num_segments": expected.num_segments,
+            "max_len": expected.max_len,
+            "min_len": expected.min_len,
+            "avg_len": expected.avg_len,
+        }
+
+    def test_compare_against_mustc_yaml(self, tmp_path, capsys):
+        ref = tmp_path / "ref.yaml"
+        ref.write_text(self.MUSTC)
+        wav = tmp_path / "ted_1.wav"
+        write_wav(wav, clip_from(tone(20.0)))
+        hyp = tmp_path / "hyp.yaml"
+        assert run(["segment", "--strategy", "fixed", "--length", "7", "-o", hyp, wav]) == 0
+        assert run(["compare", hyp, ref, "--tolerance", "0.3", "--json"]) == 0
+        score = boundary_prf(
+            entries_to_segments(read_manifest(hyp)[0]),
+            entries_to_segments(read_manifest(ref)[0]),
+            0.3,
+        )
+        assert json.loads(capsys.readouterr().out) == {
+            "precision": score.precision,
+            "recall": score.recall,
+            "f1": score.f1,
+            "tolerance": score.tolerance,
+        }
+        assert 0 < score.f1 < 1
+
+    @pytest.mark.parametrize("name", ["a, b.wav", "#1.wav", "x: y.wav", "yes"])
+    def test_unsafe_wav_name_survives_stats(self, tmp_path, capsys, name):
+        wav = tmp_path / name
+        write_wav(wav, clip_from(tone(5.0)))
+        out = tmp_path / "m.yaml"
+        assert run(["segment", "--strategy", "fixed", "--length", "2", "-o", out, wav]) == 0
+        assert {e.wav for e in read_manifest(out)[0]} == {name}
+        assert run(["stats", out, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["num_segments"] == 3
 
 
 class TestEntryPoints:

@@ -1,8 +1,10 @@
 import os
 
+import numpy as np
 import pytest
+import yaml
 
-from pausecut import Segment
+from pausecut import Segment, manifest
 from pausecut.manifest import (
     ManifestEntry,
     ManifestError,
@@ -147,3 +149,150 @@ class TestWrite:
         assert header["strategy"] == "vad"
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".manifest-")]
         assert leftovers == []
+
+
+# -- YAML loaders and wav-name quoting ----------------------------------------
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+@pytest.fixture(params=LOADERS, ids=lambda loader: loader.__name__)
+def loader(request, monkeypatch):
+    """Parse manifests with each YAML loader PyYAML offers here."""
+    monkeypatch.setattr(manifest, "YAML_LOADER", request.param)
+    return request.param
+
+
+UNSAFE_NAMES = [
+    "a, b.wav", "yes", "null", "0x1F", "1:30.5", "#1.wav", "x: y.wav", "&a.wav",
+    "{x}.wav", " lead.wav", "trail.wav ", "'q'.wav", '"q".wav', "a?b.wav", "-",
+    "- x.wav", "a #b.wav", "a:", "~", "=", "<<", "123", "True", "2001-12-14",
+    ".inf", "", "tab\t.wav", "line\nbreak.wav", "nel\x85.wav", "back\\slash.wav",
+    "bom\ufeff.wav", "ls\u2028.wav", "\x00\x7f", "😀.wav", "café talk.wav", "中文.wav",
+]
+NAME_CHARS = list("ab01._- ,:#&*!|>'\"%@`?[]{}~=<\\/\t\n\r\x85\xa0\u2028\ufeff") + ["é", "中", "😀"]
+
+
+def random_names(seed: int, count: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    return [
+        "".join(rng.choice(NAME_CHARS, size=int(rng.integers(1, 9))))
+        for _ in range(count)
+    ]
+
+
+def parse_with_each_loader(text: str, monkeypatch) -> list:
+    parsed = []
+    for loader in LOADERS:
+        monkeypatch.setattr(manifest, "YAML_LOADER", loader)
+        parsed.append(parse_manifest(text))
+    return parsed
+
+
+def random_entries(rng: np.random.Generator, names: list[str]) -> list[ManifestEntry]:
+    entries = []
+    cursor = 0.0
+    for _ in range(int(rng.integers(1, 12))):
+        cursor += round(float(rng.uniform(0, 2)), 6)
+        duration = round(float(rng.uniform(0.01, 20)), 6)
+        entries.append(
+            ManifestEntry(str(rng.choice(names)), cursor, duration, dropped=bool(rng.random() < 0.3))
+        )
+        cursor += duration
+    return entries
+
+
+class TestYamlLoader:
+    def test_libyaml_loader_chosen_when_built(self):
+        # the pure-Python loader is about 6x slower on large manifests
+        if not getattr(yaml, "__with_libyaml__", False):
+            pytest.skip("PyYAML built without libyaml")
+        assert manifest.YAML_LOADER is yaml.CSafeLoader
+
+    def test_loaders_agree_on_rendered_manifests(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        names = ["talk0.wav", "a.wav"] + UNSAFE_NAMES + random_names(6, 40)
+        cases = [render_manifest([], {"strategy": "fixed"})]
+        for _ in range(60):
+            header = {"strategy": "hybrid", "max_len": "20.0"} if rng.random() < 0.7 else {}
+            cases.append(render_manifest(random_entries(rng, names), header))
+        for text in cases:
+            parsed = parse_with_each_loader(text, monkeypatch)
+            assert all(p == parsed[0] for p in parsed), text
+
+    def test_loaders_agree_on_mustc_records(self, monkeypatch):
+        text = (
+            "# source: MuST-C-style export\n"
+            "- {duration: 3.25, offset: 0.5, rW: 8, uW: 0, speaker_id: spk.1, wav: ted_1.wav}\n"
+            "- {speaker_id: spk.1, wav: ted_1.wav, duration: 4.0, offset: 3.75, rW: 11, uW: 1}\n"
+            "- {uW: 0, rW: 2, offset: 9.0, wav: 'ted 1.wav', duration: 1.5, dropped: yes}\n"
+        )
+        parsed = parse_with_each_loader(text, monkeypatch)
+        assert all(p == parsed[0] for p in parsed)
+        entries, header = parsed[0]
+        assert header == {"source": "MuST-C-style export"}
+        assert entries == [
+            ManifestEntry("ted_1.wav", 0.5, 3.25),
+            ManifestEntry("ted_1.wav", 3.75, 4.0),
+            ManifestEntry("ted 1.wav", 9.0, 1.5, dropped=True),
+        ]
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("- {wav: a, offset: [}", "invalid YAML"),
+            ("wav: a.wav", "list"),
+            ("- {wav: a.wav, offset: 0.0}", "missing key"),
+            ('{"pausecut_manifest": 1, "config": {}}\n{nope}\n', "line 2"),
+            ("- {wav: 'a.wav, offset: 0.0, duration: 1.0}", "invalid YAML"),
+            ("- {wav: a.wav, offset: 0.0, duration: 1.0\n", "invalid YAML"),
+            ("- {wav: @a.wav, offset: 0.0, duration: 1.0}", "invalid YAML"),
+            ("- {wav: *a, offset: 0.0, duration: 1.0}", "invalid YAML"),
+            ("- {wav: a.wav, offset: x, duration: 1.0}", "bad manifest record"),
+            ("- a.wav\n", "mapping"),
+            ("{wav: a.wav, offset: 0.0, duration: 1.0}\n", "invalid JSON"),
+        ],
+        ids=[
+            "unclosed-list", "non-list", "missing-key", "bad-jsonl", "unclosed-quote",
+            "unclosed-mapping", "reserved-indicator", "undefined-alias", "bad-number",
+            "non-mapping-record", "jsonl-looking",
+        ],
+    )
+    def test_invalid_manifests_raise_under_each_loader(self, loader, text, match):
+        with pytest.raises(ManifestError, match=match):
+            parse_manifest(text)
+
+
+class TestWavQuoting:
+    def test_names_roundtrip(self, loader):
+        rng = np.random.default_rng(7)
+        for wav in UNSAFE_NAMES + random_names(8, 400):
+            entry = ManifestEntry(
+                wav,
+                round(float(rng.uniform(0, 3600)), 6),
+                round(float(rng.uniform(0.01, 30)), 6),
+                dropped=bool(rng.random() < 0.5),
+            )
+            entries, _ = parse_manifest(render_manifest([entry], {"strategy": "hybrid"}))
+            assert entries == [entry], repr(wav)
+
+    def test_unsafe_names_quoted(self):
+        text = render_manifest([ManifestEntry("a, b.wav", 0.0, 1.0)])
+        assert '- {wav: "a, b.wav", offset: 0.000000' in text
+
+    def test_plain_when_it_reads_back_as_itself(self):
+        # manifest bytes stay as they were for every name the unquoted form
+        # already gave back as the same string, except names holding a line
+        # or paragraph separator, which are quoted as line breaks
+        names = ["talk0.wav", "-x.wav", "a#b.wav", "rec_12:30:00.wav", "it's.wav",
+                 "café talk.wav", "a  b.wav", "nb\xa0sp.wav"] + random_names(9, 400)
+        for wav in [n for n in names if "\u2028" not in n]:
+            plain = f"- {{wav: {wav}, offset: 0.000000, duration: 1.000000}}"
+            try:
+                same = yaml.load(plain, Loader=yaml.SafeLoader) == [
+                    {"wav": wav, "offset": 0.0, "duration": 1.0}
+                ]
+            except yaml.YAMLError:
+                same = False
+            rendered = render_manifest([ManifestEntry(wav, 0.0, 1.0)]).splitlines()[-1]
+            assert (rendered == plain) == same, repr(wav)
