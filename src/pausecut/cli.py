@@ -18,32 +18,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .audio import AudioClip, WavError, iter_frames, read_pcm16, read_wav
-from .manifest import (
-    ManifestError,
-    coverage_end,
-    entries_to_segments,
-    read_manifest,
-    render_manifest,
-    segments_to_entries,
-    write_manifest,
-)
-from .metrics import boundary_prf, compute_stats, format_stats_table, stats_to_json
-from .segmenters import (
-    HybridParams,
-    Segment,
-    SrpolParams,
-    segment_fixed,
-    segment_hybrid,
-    segment_hybrid_force,
-    segment_srpol,
-    segment_vad_merge,
-)
-from .streaming import StreamingSegmenter
-from .vad import VadConfig, classify, detect_pauses
+
+if TYPE_CHECKING:
+    from .audio import AudioClip
+    from .segmenters import Segment
 
 STRATEGIES = ("fixed", "vad", "srpol", "hybrid", "hybrid-force")
 STREAMABLE = ("hybrid", "hybrid-force")
@@ -208,6 +189,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_clip(path: str, raw_rate: int | None) -> AudioClip:
+    from .audio import WavError, read_pcm16, read_wav
+
     try:
         if raw_rate is not None:
             return read_pcm16(path, raw_rate)
@@ -219,6 +202,20 @@ def _load_clip(path: str, raw_rate: int | None) -> AudioClip:
 
 
 def _segment_clip(clip: AudioClip, cfg: dict) -> list[Segment]:
+    from .audio import iter_frames
+    from .segmenters import (
+        HybridParams,
+        Segment,
+        SrpolParams,
+        segment_fixed,
+        segment_hybrid,
+        segment_hybrid_force,
+        segment_srpol,
+        segment_vad_merge,
+    )
+    from .streaming import StreamingSegmenter
+    from .vad import VadConfig, classify, detect_pauses
+
     strategy = cfg["strategy"]
     if strategy == "fixed":
         return segment_fixed(clip.duration, cfg["length"])
@@ -256,7 +253,8 @@ def _effective_header(cfg: dict, total_duration: float) -> dict:
     else:
         header["aggressiveness"] = cfg["aggressiveness"]
         header["frame_ms"] = cfg["frame_ms"]
-        header["min_pause_ms"] = cfg["min_pause_ms"] if cfg["min_pause_ms"] else cfg["frame_ms"]
+        if strategy != "vad":  # segment_vad_merge keeps every run, however short
+            header["min_pause_ms"] = cfg["min_pause_ms"] or cfg["frame_ms"]
         if strategy == "srpol":
             header["max_len"] = cfg["max_len"]
         elif strategy in STREAMABLE:
@@ -269,6 +267,13 @@ def _effective_header(cfg: dict, total_duration: float) -> dict:
 
 
 def _cmd_segment(args: argparse.Namespace) -> int:
+    # The first import of numpy (by audio and vad) happens here, on this
+    # thread, rather than in two worker threads at once.
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import audio, streaming, vad  # noqa: F401
+    from .manifest import render_manifest, segments_to_entries, write_manifest
+
     keys = [
         "strategy", "length", "min_len", "max_len", "juncture_ms", "aggressiveness",
         "frame_ms", "min_pause_ms", "streaming", "format", "emit_dropped", "raw_rate",
@@ -328,6 +333,8 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 
 
 def _read_manifest_checked(path: str):
+    from .manifest import ManifestError, read_manifest
+
     try:
         return read_manifest(path)
     except OSError as exc:
@@ -337,6 +344,9 @@ def _read_manifest_checked(path: str):
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .manifest import ManifestError, coverage_end, entries_to_segments
+    from .metrics import compute_stats, format_stats_table, stats_to_json
+
     cfg = _resolve(args, ["total_duration", "json"])
     entries, header = _read_manifest_checked(args.manifest)
     total = cfg["total_duration"]
@@ -363,6 +373,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .manifest import ManifestError, coverage_end, entries_to_segments
+    from .metrics import boundary_prf
+
     cfg = _resolve(args, ["tolerance", "duration_slack", "json"])
     hyp_entries, _ = _read_manifest_checked(args.hypothesis)
     ref_entries, _ = _read_manifest_checked(args.reference)

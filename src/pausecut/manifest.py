@@ -14,6 +14,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import tempfile
@@ -215,19 +216,33 @@ def _parse_jsonl(text: str) -> tuple[list[ManifestEntry], dict]:
 
 
 def _entry_from_record(record) -> ManifestEntry:
+    """One manifest record as an entry; a value of the wrong type is an
+    error, never coerced (`wav: yes` is not the file "True")."""
     if not isinstance(record, dict):
         raise ManifestError(f"manifest record must be a mapping, got {record!r}")
     try:
-        return ManifestEntry(
-            wav=str(record["wav"]),
-            offset=float(record["offset"]),
-            duration=float(record["duration"]),
-            dropped=bool(record.get("dropped", False)),
-        )
+        wav, offset, duration = record["wav"], record["offset"], record["duration"]
     except KeyError as exc:
         raise ManifestError(f"manifest record missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(f"bad manifest record {record!r}: {exc}") from exc
+    dropped = record.get("dropped", False)
+    if not isinstance(wav, str):
+        raise ManifestError(f"bad manifest record {record!r}: wav must be a string")
+    if not isinstance(dropped, bool):
+        raise ManifestError(f"bad manifest record {record!r}: dropped must be true or false")
+    return ManifestEntry(
+        wav, _seconds(offset, "offset", record), _seconds(duration, "duration", record), dropped
+    )
+
+
+def _seconds(value, key: str, record: dict) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            seconds = float(value)
+        except OverflowError:  # an int past the float range
+            seconds = math.inf
+        if math.isfinite(seconds):
+            return seconds
+    raise ManifestError(f"bad manifest record {record!r}: {key} must be a finite number")
 
 
 def coverage_end(entries: list[ManifestEntry]) -> float:

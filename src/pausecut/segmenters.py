@@ -39,9 +39,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .audio import frame_time
-from .vad import FrameLabelTrack, Pause, label_runs
+if TYPE_CHECKING:  # audio and vad load numpy; manifest readers need none of it
+    from .vad import FrameLabelTrack, Pause
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,9 @@ def segment_vad_merge(track: FrameLabelTrack) -> list[Segment]:
     Speech runs are kept, non-speech runs are dropped (kept=False); the
     two together tile the full frame timeline.
     """
+    from .audio import frame_time
+    from .vad import label_runs
+
     labels = track.labels
     return [
         Segment(
@@ -254,6 +258,8 @@ def split_until(
         at_horizon = now >= horizon
         known = pauses
         if at_horizon and open_start is not None:
+            from .vad import Pause
+
             known = pauses + [Pause(open_start, now - open_start, now)]
         b = forced_boundary(known, s, horizon, params.juncture) if params.force_split else None
         if b is None:

@@ -402,3 +402,89 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "segment" in proc.stdout and "compare" in proc.stdout
+
+
+class TestHeader:
+    COMMON = {"strategy", "total_duration"}
+    VAD = {"aggressiveness", "frame_ms"}
+    KEYS = {
+        "fixed": COMMON | {"length"},
+        "vad": COMMON | VAD,
+        "srpol": COMMON | VAD | {"min_pause_ms", "max_len"},
+        "hybrid": COMMON | VAD | {"min_pause_ms", "min_len", "max_len", "streaming"},
+        "hybrid-force": COMMON | VAD | {"min_pause_ms", "min_len", "max_len", "streaming", "juncture_ms"},
+    }
+
+    @pytest.mark.parametrize("fmt", ["yaml", "jsonl"])
+    @pytest.mark.parametrize("strategy", sorted(KEYS))
+    def test_keys_per_strategy(self, talk_wav, tmp_path, strategy, fmt):
+        out = tmp_path / f"m.{fmt}"
+        assert run(["segment", "--strategy", strategy, "--format", fmt, "-o", out, talk_wav]) == 0
+        assert set(read_manifest(out)[1]) == self.KEYS[strategy]
+
+    def test_vad_does_not_echo_min_pause(self, talk_wav, tmp_path):
+        # segment_vad_merge keeps every run, so the option has no effect there
+        out = tmp_path / "v.yaml"
+        assert run(["segment", "--strategy", "vad", "--min-pause-ms", "60", "-o", out, talk_wav]) == 0
+        assert "min_pause_ms" not in out.read_text()
+
+
+class TestParallelSegment:
+    def test_jobs_2_equals_jobs_1_in_fresh_process(self, tmp_path):
+        # a fresh process first imports numpy inside `segment`; with two
+        # workers that import must still happen once, before they start
+        import subprocess
+        import sys
+
+        wavs = []
+        for i, seconds in enumerate((3.0, 4.5, 6.0)):
+            wav = tmp_path / f"talk{i}.wav"
+            write_wav(wav, clip_from(tone(seconds), silence(0.6), tone(seconds / 2)))
+            wavs.append(str(wav))
+        import pausecut
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pausecut.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        manifests = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.yaml"
+            argv = ["segment", "--strategy", "hybrid", "--min-len", "1", "--max-len", "2"]
+            proc = subprocess.run(
+                [sys.executable, "-m", "pausecut", *argv, "--jobs", jobs, "-o", str(out), *wavs],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            manifests.append(out.read_bytes())
+        assert manifests[0] == manifests[1]
+        assert {e.wav for e in read_manifest(tmp_path / "jobs2.yaml")[0]} == {
+            "talk0.wav", "talk1.wav", "talk2.wav"
+        }
+
+
+class TestMistypedManifest:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "- {wav: yes, offset: 0.0, duration: 1.0}\n",
+            "- {wav: a.wav, offset: .nan, duration: 1.0}\n",
+            "- {wav: a.wav, offset: 0.0, duration: .inf}\n",
+            '{"wav": "a.wav", "offset": 0.0, "duration": 1.0, "dropped": "false"}\n',
+        ],
+        ids=["wav-bool", "offset-nan", "duration-inf", "dropped-str"],
+    )
+    @pytest.mark.parametrize("command", ["stats", "stats-json", "compare"])
+    def test_exits_1_naming_the_file(self, tmp_path, capsys, text, command):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        good = tmp_path / "good.yaml"
+        good.write_text(render_manifest([ManifestEntry("a.wav", 0.0, 1.0)], {}))
+        argv = {
+            "stats": ["stats", bad],
+            "stats-json": ["stats", bad, "--json"],
+            "compare": ["compare", good, bad],
+        }[command]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert f"malformed manifest {bad}" in captured.err
+        assert captured.out == ""

@@ -296,3 +296,72 @@ class TestWavQuoting:
                 same = False
             rendered = render_manifest([ManifestEntry(wav, 0.0, 1.0)]).splitlines()[-1]
             assert (rendered == plain) == same, repr(wav)
+
+
+class TestRecordTypes:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "- {wav: yes, offset: 0.0, duration: 1.0}",
+            "- {wav: 0x1F, offset: 0.0, duration: 1.0}",
+            "- {wav: null, offset: 0.0, duration: 1.0}",
+            "- {wav: 1:30.5, offset: 0.0, duration: 1.0}",
+            "- {wav: 007, offset: 0.0, duration: 1.0}",
+            "- {wav: 2001-12-14, offset: 0.0, duration: 1.0}",
+            "- {wav: [a.wav], offset: 0.0, duration: 1.0}",
+            "- {wav: a.wav, offset: .nan, duration: 1.0}",
+            "- {wav: a.wav, offset: 0.0, duration: .inf}",
+            "- {wav: a.wav, offset: -.inf, duration: 1.0}",
+            "- {wav: a.wav, offset: '0.5', duration: 1.0}",
+            "- {wav: a.wav, offset: true, duration: 1.0}",
+            "- {wav: a.wav, offset: 0.0, duration: null}",
+            "- {wav: a.wav, offset: 1" + "0" * 400 + ", duration: 1.0}",
+            "- {wav: a.wav, offset: 0.0, duration: 1.0, dropped: 'false'}",
+            "- {wav: a.wav, offset: 0.0, duration: 1.0, dropped: 0}",
+            "- {wav: a.wav, offset: 0.0, duration: 1.0, dropped: null}",
+            '{"wav": "a.wav", "offset": 0.0, "duration": 1.0, "dropped": "false"}',
+            '{"wav": 7, "offset": 0.0, "duration": 1.0}',
+            '{"wav": "a.wav", "offset": NaN, "duration": 1.0}',
+            '{"wav": "a.wav", "offset": 0.0, "duration": Infinity}',
+            '{"wav": "a.wav", "offset": 0.0, "duration": 1e999}',
+            '{"wav": "a.wav", "offset": "0.0", "duration": 1.0}',
+            '{"wav": "a.wav", "offset": false, "duration": 1.0}',
+        ],
+        ids=[
+            "wav-bool", "wav-hex-int", "wav-null", "wav-sexagesimal", "wav-int", "wav-date",
+            "wav-list", "offset-nan", "duration-inf", "offset-minus-inf", "offset-str",
+            "offset-bool", "duration-null", "offset-int-past-float", "dropped-str",
+            "dropped-int", "dropped-null", "jsonl-dropped-str", "jsonl-wav-int",
+            "jsonl-offset-nan", "jsonl-duration-infinity", "jsonl-duration-overflow",
+            "jsonl-offset-str", "jsonl-offset-bool",
+        ],
+    )
+    def test_mistyped_value_rejected(self, loader, text):
+        with pytest.raises(ManifestError, match="bad manifest record"):
+            parse_manifest(text)
+
+    def test_integer_seconds_and_explicit_dropped_accepted(self, loader):
+        text = (
+            "- {wav: a.wav, offset: 0, duration: 3}\n"
+            "- {wav: a.wav, offset: 3, duration: 1.5, dropped: false}\n"
+            "- {wav: a.wav, offset: 4.5, duration: 1, dropped: true}\n"
+        )
+        entries, _ = parse_manifest(text)
+        assert entries == [
+            ManifestEntry("a.wav", 0.0, 3.0),
+            ManifestEntry("a.wav", 3.0, 1.5),
+            ManifestEntry("a.wav", 4.5, 1.0, dropped=True),
+        ]
+        assert all(type(e.offset) is float and type(e.duration) is float for e in entries)
+
+    @pytest.mark.parametrize("fmt", ["yaml", "jsonl"])
+    def test_rendered_manifests_parse_to_same_entries(self, loader, fmt):
+        rng = np.random.default_rng(17)
+        names = ["talk0.wav"] + UNSAFE_NAMES + random_names(18, 40)
+        for _ in range(60):
+            entries = random_entries(rng, names)
+            rounded = [
+                ManifestEntry(e.wav, round(e.offset, 6), round(e.duration, 6), e.dropped)
+                for e in entries
+            ]
+            assert parse_manifest(render_manifest(entries, {"strategy": "hybrid"}, fmt))[0] == rounded
