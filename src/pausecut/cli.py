@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -350,11 +351,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     cfg = _resolve(args, ["total_duration", "json"])
     entries, header = _read_manifest_checked(args.manifest)
     total = cfg["total_duration"]
+    if total is not None and not math.isfinite(total):
+        raise CliError(f"--total-duration must be finite, got {total}")
     if total is None and "total_duration" in header:
         try:
             total = float(header["total_duration"])
         except ValueError:
             total = None
+        if total is not None and not math.isfinite(total):
+            raise CliError(
+                f"malformed manifest {args.manifest}: total_duration {total} is not finite"
+            )
     if total is None:
         total = coverage_end(entries)
     try:

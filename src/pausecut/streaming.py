@@ -13,9 +13,13 @@ become determined.  Determination points:
   end time reaches the horizon.
 
 Because pauses are credited only up to the horizon (see the segmenters
-module), every decision uses past frames only.  Each push runs the batch
-scan (`split_until`) on the pauses seen so far, so push emissions plus
-the flush remainder equal the batch result -- exactly, not approximately.
+module), every decision uses past frames only.  A push runs the batch
+scan (`split_until`) on the pauses seen so far only when its result can
+differ from the last scan's empty tail: when the push reaches the horizon
+s + max_len, or, in the force variant, when a pause closes on it.  On
+every other push the scan would return nothing, so it is skipped.  Push
+emissions plus the flush remainder equal the batch result -- exactly,
+not approximately.
 
 The engine holds no audio: only the VAD's floor window and hangover, the
 stream position, the open non-speech run and the pauses of the open
@@ -31,7 +35,7 @@ explicit state; restoring one reads data and never executes it.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import asdict
 
 from .audio import Frame, frame_time
@@ -58,8 +62,15 @@ class StreamingSegmenter:
     def buffered_frames(self) -> int:
         """Pushed frames whose end lies after the segment start."""
         fm = self.vad_config.frame_ms
-        ends = range(1, self._frames_pushed + 1)  # frame k - 1 ends at frame_time(k)
-        return len(ends) - bisect_right(ends, self._segment_start, key=lambda k: frame_time(k, fm))
+        n, s = self._frames_pushed, self._segment_start
+        # Frame k - 1 ends at frame_time(k).  In exact arithmetic the ends
+        # k <= s * 1000 / fm lie at or before s; frame_time's rounding can
+        # put at most the next end there too.
+        num, den = s.as_integer_ratio()
+        settled = min(n, num * 1000 // (den * fm))
+        if settled < n and frame_time(settled + 1, fm) <= s:
+            settled += 1
+        return n - settled
 
     @property
     def frames_pushed(self) -> int:
@@ -81,15 +92,24 @@ class StreamingSegmenter:
                 f"out-of-order frame: expected index {self._frames_pushed}, got {frame.index}"
             )
 
+        closed = False
         if self._vad.step(frame_energy(frame.samples)):
             if self._run_start is not None:
                 self._pauses.append(Pause.from_frames(self._run_start, frame.index - 1, fm))
                 self._run_start = None
+                closed = True
         elif self._run_start is None:
             self._run_start = frame.index
 
         self._frames_pushed += 1
         now = frame_time(self._frames_pushed, fm)
+        # The last scan ended short of the horizon with no forced split in
+        # the closed pauses; only a new closed pause (force mode) or reaching
+        # the horizon can change that.  Same float test as split_until's.
+        if now < self._segment_start + self.params.max_len and not (
+            closed and self.params.force_split
+        ):
+            return []
         open_start = None if self._run_start is None else frame_time(self._run_start, fm)
         segments = split_until(self._pauses, self._segment_start, now, self.params, open_start)
         return self._emit(segments)

@@ -266,6 +266,22 @@ class TestStats:
         assert run(["stats", path]) == 1
         assert "malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_header_total_rejected(self, tmp_path, capsys, value):
+        path = tmp_path / "t.yaml"
+        path.write_text(render_manifest([ManifestEntry("a.wav", 0.0, 1.0)], {"total_duration": value}))
+        assert run(["stats", path, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert f"malformed manifest {path}: total_duration" in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_flag_total_rejected(self, tmp_path, capsys):
+        path = self.fixture_manifest(tmp_path)
+        assert run(["stats", path, "--json", "--total-duration", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert "--total-duration must be finite" in captured.err
+        assert captured.out == ""
+
     def test_roundtrip_matches_in_process(self, talk_wav, tmp_path, capsys):
         out = tmp_path / "h.yaml"
         assert run(["segment", "--strategy", "hybrid", "-o", out, talk_wav]) == 0

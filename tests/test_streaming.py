@@ -1,5 +1,6 @@
 import json
 import pickle
+from bisect import bisect_right
 from collections import deque
 
 import numpy as np
@@ -15,9 +16,12 @@ from pausecut import (
     segment_hybrid,
     segment_hybrid_force,
 )
+import pausecut.streaming
 from pausecut.audio import frame_time
+from pausecut.segmenters import split_until
+from pausecut.vad import Pause, frame_energy
 
-from conftest import clip_from, silence, speechy_clip, tone
+from conftest import clip_from, silence, speechy_clip, talk_clip, tone
 
 CALLS = []
 
@@ -217,6 +221,48 @@ class TestBufferedFrames:
             assert engine.buffered_frames == 0
 
 
+class ScanEveryPush(StreamingSegmenter):
+    """Reference engine: runs the batch scan on every push, skipping none."""
+
+    def push_frame(self, frame):
+        fm = self.vad_config.frame_ms
+        assert frame.index == self._frames_pushed
+        if self._vad.step(frame_energy(frame.samples)):
+            if self._run_start is not None:
+                self._pauses.append(Pause.from_frames(self._run_start, frame.index - 1, fm))
+                self._run_start = None
+        elif self._run_start is None:
+            self._run_start = frame.index
+        self._frames_pushed += 1
+        now = frame_time(self._frames_pushed, fm)
+        open_start = None if self._run_start is None else frame_time(self._run_start, fm)
+        segments = split_until(self._pauses, self._segment_start, now, self.params, open_start)
+        return self._emit(segments)
+
+
+def horizon_clip(rng, n_frames, frame_ms, max_len):
+    """Tone and silence runs up to a few horizons long, so that pauses stay
+    open across horizons and most segments end at one."""
+    parts = []
+    remaining = n_frames * frame_ms / 1000
+    speaking = rng.random() < 0.5
+    while remaining > 0:
+        span = min(remaining, float(rng.uniform(0.01, 2.5 * max_len)))
+        parts.append(tone(span) if speaking else silence(span))
+        speaking = not speaking
+        remaining -= span
+    return clip_from(*parts)
+
+
+def edge_params(rng, frame_ms, force):
+    """min_len, max_len and juncture_ms often exactly one frame."""
+    frame_s = frame_ms / 1000
+    min_len = frame_s if rng.random() < 0.3 else float(rng.uniform(frame_s, 2.0))
+    max_len = min_len + [0.0, frame_s, float(rng.uniform(0.0, 2.0))][int(rng.integers(3))]
+    juncture_ms = frame_ms if rng.random() < 0.3 else int(rng.integers(frame_ms, 1200))
+    return HybridParams(min_len, max_len, force, juncture_ms)
+
+
 def _stream(engine, fs):
     out = []
     for f in fs:
@@ -312,3 +358,70 @@ class TestCheckpoint:
 
         with pytest.raises(ValueError, match="version"):
             StreamingSegmenter.restore_state(pickle.dumps((99, {})))
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """One entry per scan the engine runs."""
+    calls = []
+    monkeypatch.setattr(
+        pausecut.streaming, "split_until", lambda *a: calls.append(1) or split_until(*a)
+    )
+    return calls
+
+
+class TestEventDrivenScan:
+    @pytest.mark.parametrize("frame_ms", [10, 20, 30])
+    @pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
+    def test_equals_scan_on_every_push(self, rng, scans, frame_ms, force):
+        skipped = open_at_horizon = 0
+        for _ in range(8):
+            params = edge_params(rng, frame_ms, force)
+            cfg = VadConfig(int(rng.integers(0, 4)), frame_ms)
+            n_frames = int(rng.integers(50, 1200))
+            fs = frames(horizon_clip(rng, n_frames, frame_ms, params.max_len), frame_ms)
+            engine, ref = StreamingSegmenter(params, cfg), ScanEveryPush(params, cfg)
+            got, checkpoints = [], []
+            for f in fs:
+                horizon = ref.segment_start + params.max_len
+                before = len(scans)
+                out = engine.push_frame(f)
+                assert out == ref.push_frame(f)
+                got.extend(out)
+                # the held-frame count by bisection, independent of buffered_frames
+                ends = range(1, f.index + 2)
+                held = len(ends) - bisect_right(
+                    ends, ref.segment_start, key=lambda k: frame_time(k, frame_ms)
+                )
+                assert engine.buffered_frames == held
+                now = frame_time(f.index + 1, frame_ms)
+                open_at_horizon += now >= horizon and ref._run_start is not None
+                if len(scans) == before:
+                    skipped += 1
+                    if rng.random() < 0.05:
+                        blob = engine.save_state()
+                        assert blob == ref.save_state()
+                        checkpoints.append((f.index + 1, blob, list(got)))
+            tail = engine.flush()
+            assert tail == ref.flush()
+            for cut, blob, before in checkpoints[:: max(1, len(checkpoints) // 3)]:
+                resumed = StreamingSegmenter.restore_state(blob)
+                after = _stream(resumed, fs[cut:]) + resumed.flush()
+                assert before + after == got + tail, cut
+        assert skipped > 0 and open_at_horizon > 0
+
+    @pytest.mark.parametrize("params", [PLAIN, FORCE], ids=["plain", "force"])
+    def test_scans_bounded_by_events(self, rng, scans, params):
+        # a scan per push would be 30,000 scans on this talk
+        clip = talk_clip(rng, 600.0)
+        engine = StreamingSegmenter(params, CFG)
+        crossings = 0
+        fs = frames(clip, 20)
+        for f in fs:
+            horizon = engine.segment_start + params.max_len
+            engine.push_frame(f)
+            crossings += frame_time(f.index + 1, 20) >= horizon
+        engine.flush()
+        closed = len(detect_pauses(classify(clip, CFG)))  # includes one still open at the end
+        bound = crossings + (closed if params.force_split else 0)
+        assert 0 < len(scans) <= bound < len(fs) / 10
