@@ -7,9 +7,11 @@ Subcommands:
 * ``stats``   -- summary rows for a manifest.
 * ``compare`` -- boundary precision/recall between two manifests.
 
-Option values resolve in precedence order: built-in defaults, then a
-``--config`` file of ``key = value`` lines, then ``PAUSECUT_<KEY>``
-environment variables, then explicit flags.
+Each option is declared once, in ``OPTIONS``.  Its value resolves in
+precedence order: built-in default, then a ``--config`` file of
+``key = value`` lines, then a ``PAUSECUT_<KEY>`` environment variable,
+then an explicit flag; text from the file and the environment gets the
+flag's conversion and allowed values.
 """
 
 from __future__ import annotations
@@ -30,55 +32,63 @@ if TYPE_CHECKING:
 STRATEGIES = ("fixed", "vad", "srpol", "hybrid", "hybrid-force")
 STREAMABLE = ("hybrid", "hybrid-force")
 ENV_PREFIX = "PAUSECUT_"
+SEGMENT = ("segment",)
 
-# Each option's default and the converter for its text form (config file,
-# environment); a None converter marks a boolean.
+# The one declaration of each option: the subcommands that take it, its
+# default, the converter for its text (flag, config file or environment;
+# None marks a boolean), its allowed values (None: any) and its help.
 OPTIONS = {
-    "strategy": ("hybrid", str),
-    "length": (20.0, float),
-    "min_len": (17.0, float),
-    "max_len": (20.0, float),
-    "juncture_ms": (550, int),
-    "aggressiveness": (2, int),
-    "frame_ms": (20, int),
-    "min_pause_ms": (None, int),
-    "streaming": (False, None),
-    "format": ("yaml", str),
-    "emit_dropped": (False, None),
-    "raw_rate": (None, int),
-    "output": ("-", str),
-    "jobs": (None, int),
-    "total_duration": (None, float),
-    "tolerance": (0.5, float),
-    "duration_slack": (0.03, float),
-    "json": (False, None),
+    "strategy": (SEGMENT, "hybrid", str, STRATEGIES, "segmentation strategy"),
+    "length": (SEGMENT, 20.0, float, None, "segment length for --strategy fixed (s)"),
+    "min_len": (SEGMENT, 17.0, float, None, "hybrid window start (s)"),
+    "max_len": (SEGMENT, 20.0, float, None, "length bound (s)"),
+    "juncture_ms": (SEGMENT, 550, int, None, "forced-split pause threshold (ms)"),
+    "aggressiveness": (SEGMENT, 2, int, (0, 1, 2, 3), "VAD aggressiveness"),
+    "frame_ms": (SEGMENT, 20, int, (10, 20, 30), "VAD frame length (ms)"),
+    "min_pause_ms": (SEGMENT, None, int, None, "minimum pause length (ms)"),
+    "streaming": (SEGMENT, False, None, None, "drive the incremental engine (hybrid only)"),
+    "format": (SEGMENT, "yaml", str, ("yaml", "jsonl"), "manifest format"),
+    "emit_dropped": (SEGMENT, False, None, None, "include discarded audio as dropped entries"),
+    "raw_rate": (SEGMENT, None, int, None, "read inputs as headerless PCM16 at this rate"),
+    "output": (SEGMENT, "-", str, None, "manifest path ('-' for stdout)"),
+    "jobs": (SEGMENT, None, int, None, "parallel workers for multiple inputs"),
+    "total_duration": (
+        ("stats",), None, float, None, "audio duration (s); default: header, else coverage"
+    ),
+    "tolerance": (("compare",), 0.5, float, None, "match window (s)"),
+    "duration_slack": (("compare",), 0.03, float, None, "allowed coverage mismatch (s)"),
+    "json": (("stats", "compare"), False, None, None, "print JSON"),
 }
-DEFAULTS = {key: default for key, (default, _) in OPTIONS.items()}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True}
+_BOOLEANS.update({"0": False, "false": False, "no": False, "off": False})
 
 
 class CliError(Exception):
     """User-facing failure: printed as a diagnostic, exits nonzero."""
 
 
-def _coerce(key: str, raw):
-    if isinstance(raw, str):
-        conv = OPTIONS[key][1]
-        if conv is None:  # boolean
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise CliError(f"cannot parse boolean value {raw!r} for {key}")
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise CliError(f"bad value for {key}: {exc}") from exc
-    return raw
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _load_config_file(path: str) -> dict:
-    """key = value lines; '#' starts a comment; quotes are optional."""
+def _coerce(key: str, raw: str, source: str):
+    """Convert config or environment text as the flag would, or fail naming `source`."""
+    _, _, conv, choices, _ = OPTIONS[key]
+    try:
+        value = _BOOLEANS[raw.strip().lower()] if conv is None else conv(raw)
+        if choices is None or value in choices:
+            return value
+    except (KeyError, ValueError):
+        pass
+    hint = f" (choose from {', '.join(map(repr, choices))})" if choices else ""
+    raise CliError(f"{source}: invalid value {raw!r} for {key}{hint}")
+
+
+def _load_config_file(path: str, keys: list[str]) -> dict:
+    """key = value lines; '#' starts a comment; quotes are optional.
+
+    Values of `keys` are converted; other known keys are ignored.
+    """
     values = {}
     try:
         with open(path) as fh:
@@ -90,31 +100,28 @@ def _load_config_file(path: str) -> dict:
                     raise CliError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
                 key = key.strip().replace("-", "_")
-                value = value.strip().strip("\"'")
-                if key not in DEFAULTS:
+                if key not in OPTIONS:
                     raise CliError(f"{path}:{lineno}: unknown option {key!r}")
-                values[key] = value
+                if key in keys:
+                    values[key] = _coerce(key, value.strip().strip("\"'"), f"{path}:{lineno}")
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
-def _resolve(args: argparse.Namespace, keys: list[str]) -> dict:
+def _resolve(args: argparse.Namespace) -> dict:
     """Defaults < config file < environment < explicit flags."""
-    effective = {k: DEFAULTS[k] for k in keys}
-    if getattr(args, "config", None):
-        for key, value in _load_config_file(args.config).items():
-            if key in effective:
-                effective[key] = _coerce(key, value)
+    keys = [key for key, row in OPTIONS.items() if args.command in row[0]]
+    cfg = {key: OPTIONS[key][1] for key in keys}
+    if args.config:
+        cfg.update(_load_config_file(args.config, keys))
     for key in keys:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
-            effective[key] = _coerce(key, env)
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            effective[key] = value
-    return effective
+            cfg[key] = _coerce(key, env, ENV_PREFIX + key.upper())
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    return cfg
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,66 +130,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"pausecut {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    seg = sub.add_parser("segment", help="segment audio files and write a manifest")
-    seg.add_argument("inputs", nargs="+", metavar="AUDIO", help="WAV (or raw PCM16) files")
-    seg.add_argument("--strategy", choices=STRATEGIES)
-    seg.add_argument("--length", type=float, help="segment length for --strategy fixed (s)")
-    seg.add_argument("--min-len", dest="min_len", type=float, help="hybrid window start (s)")
-    seg.add_argument("--max-len", dest="max_len", type=float, help="length bound (s)")
-    seg.add_argument(
-        "--juncture-ms", dest="juncture_ms", type=int, help="forced-split pause threshold (ms)"
+    commands = {
+        "segment": sub.add_parser("segment", help="segment audio files and write a manifest"),
+        "stats": sub.add_parser("stats", help="Table-style statistics for a manifest"),
+        "compare": sub.add_parser(
+            "compare", help="boundary precision/recall between two manifests"
+        ),
+    }
+    commands["segment"].add_argument(
+        "inputs", nargs="+", metavar="AUDIO", help="WAV (or raw PCM16) files"
     )
-    seg.add_argument("--aggressiveness", type=int, choices=(0, 1, 2, 3))
-    seg.add_argument("--frame-ms", dest="frame_ms", type=int, choices=(10, 20, 30))
-    seg.add_argument(
-        "--min-pause-ms", dest="min_pause_ms", type=int, help="minimum pause length (ms)"
-    )
-    seg.add_argument(
-        "--streaming",
-        action=argparse.BooleanOptionalAction,
-        help="drive the incremental engine (hybrid strategies only)",
-    )
-    seg.add_argument("--format", choices=("yaml", "jsonl"))
-    seg.add_argument(
-        "--emit-dropped",
-        dest="emit_dropped",
-        action=argparse.BooleanOptionalAction,
-        help="include discarded audio as dropped entries",
-    )
-    seg.add_argument(
-        "--raw-rate",
-        dest="raw_rate",
-        type=int,
-        help="treat inputs as headerless PCM16 at this sample rate",
-    )
-    seg.add_argument("--output", "-o", help="manifest path ('-' for stdout)")
-    seg.add_argument("--jobs", type=int, help="parallel workers for multiple inputs")
-    seg.add_argument("--config", help="key = value config file")
-
-    st = sub.add_parser("stats", help="Table-style statistics for a manifest")
-    st.add_argument("manifest")
-    st.add_argument(
-        "--total-duration",
-        dest="total_duration",
-        type=float,
-        help="audio duration (s); default: manifest header, else coverage",
-    )
-    st.add_argument("--json", action=argparse.BooleanOptionalAction)
-    st.add_argument("--config", help="key = value config file")
-
-    cmp_ = sub.add_parser("compare", help="boundary precision/recall between two manifests")
-    cmp_.add_argument("hypothesis")
-    cmp_.add_argument("reference")
-    cmp_.add_argument("--tolerance", type=float, help="match window (s)")
-    cmp_.add_argument(
-        "--duration-slack",
-        dest="duration_slack",
-        type=float,
-        help="allowed coverage mismatch (s)",
-    )
-    cmp_.add_argument("--json", action=argparse.BooleanOptionalAction)
-    cmp_.add_argument("--config", help="key = value config file")
+    commands["stats"].add_argument("manifest")
+    commands["compare"].add_argument("hypothesis")
+    commands["compare"].add_argument("reference")
+    for key, (names, _, conv, choices, help_) in OPTIONS.items():
+        flags = [_flag(key), "-o"] if key == "output" else [_flag(key)]
+        for name in names:
+            if conv is None:
+                commands[name].add_argument(
+                    *flags, action=argparse.BooleanOptionalAction, help=help_
+                )
+            else:
+                commands[name].add_argument(*flags, type=conv, choices=choices, help=help_)
+    for command in commands.values():
+        command.add_argument("--config", help="key = value config file")
     return parser
 
 
@@ -275,14 +246,9 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     from . import audio, streaming, vad  # noqa: F401
     from .manifest import render_manifest, segments_to_entries, write_manifest
 
-    keys = [
-        "strategy", "length", "min_len", "max_len", "juncture_ms", "aggressiveness",
-        "frame_ms", "min_pause_ms", "streaming", "format", "emit_dropped", "raw_rate",
-        "output", "jobs",
-    ]
-    cfg = _resolve(args, keys)
-    if cfg["strategy"] not in STRATEGIES:
-        raise CliError(f"unknown strategy {cfg['strategy']!r}")
+    cfg = _resolve(args)
+    if cfg["jobs"] is not None and cfg["jobs"] < 1:
+        raise CliError(f"--jobs must be at least 1, got {cfg['jobs']}")
     if cfg["streaming"] and cfg["strategy"] not in STREAMABLE:
         if cfg["strategy"] == "srpol":
             raise CliError("strategy requires full audio: srpol cannot run with --streaming")
@@ -345,25 +311,27 @@ def _read_manifest_checked(path: str):
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from .manifest import ManifestError, coverage_end, entries_to_segments
+    from .manifest import SEAM_TOLERANCE, ManifestError, coverage_end, entries_to_segments
     from .metrics import compute_stats, format_stats_table, stats_to_json
 
-    cfg = _resolve(args, ["total_duration", "json"])
+    cfg = _resolve(args)
     entries, header = _read_manifest_checked(args.manifest)
-    total = cfg["total_duration"]
-    if total is not None and not math.isfinite(total):
-        raise CliError(f"--total-duration must be finite, got {total}")
+    coverage = coverage_end(entries)
+    total, source = cfg["total_duration"], "--total-duration"
     if total is None and "total_duration" in header:
+        source = f"malformed manifest {args.manifest}: total_duration"
         try:
             total = float(header["total_duration"])
         except ValueError:
-            total = None
-        if total is not None and not math.isfinite(total):
-            raise CliError(
-                f"malformed manifest {args.manifest}: total_duration {total} is not finite"
-            )
+            pass  # an unreadable header total falls back to the coverage
     if total is None:
-        total = coverage_end(entries)
+        total = coverage
+    elif not math.isfinite(total):
+        raise CliError(f"{source} must be finite, got {total}")
+    elif total < 0 or total < coverage - SEAM_TOLERANCE:
+        raise CliError(
+            f"{source} must be non-negative and cover the manifest's {coverage:.6f}s, got {total}"
+        )
     try:
         segments = entries_to_segments(entries, total)
     except ManifestError as exc:
@@ -380,10 +348,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     from .manifest import ManifestError, coverage_end, entries_to_segments
     from .metrics import boundary_prf
 
-    cfg = _resolve(args, ["tolerance", "duration_slack", "json"])
+    cfg = _resolve(args)
+    for key in ("tolerance", "duration_slack"):
+        if not 0 <= cfg[key] < math.inf:
+            raise CliError(f"{_flag(key)} must be finite and non-negative, got {cfg[key]}")
     hyp_entries, _ = _read_manifest_checked(args.hypothesis)
     ref_entries, _ = _read_manifest_checked(args.reference)
     hyp_total = coverage_end(hyp_entries)
@@ -397,24 +370,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ref = entries_to_segments(ref_entries)
     except ManifestError as exc:
         raise CliError(f"malformed manifest: {exc}") from exc
-    score = boundary_prf(hyp, ref, cfg["tolerance"])
+    report = asdict(boundary_prf(hyp, ref, cfg["tolerance"]))
     if cfg["json"]:
-        print(
-            json.dumps(
-                {
-                    "precision": score.precision,
-                    "recall": score.recall,
-                    "f1": score.f1,
-                    "tolerance": score.tolerance,
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(report, sort_keys=True))
     else:
-        print(f"precision  {score.precision:.3f}")
-        print(f"recall     {score.recall:.3f}")
-        print(f"f1         {score.f1:.3f}")
-        print(f"tolerance  {score.tolerance:.3f}")
+        for key, value in report.items():
+            print(f"{key:<10} {value:.3f}")
     return 0
 
 

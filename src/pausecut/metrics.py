@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .segmenters import Segment
 
@@ -130,13 +130,4 @@ def format_stats_table(columns: dict[str, SegStats]) -> str:
 
 
 def stats_to_json(stats: SegStats) -> str:
-    return json.dumps(
-        {
-            "pct_filtered": stats.pct_filtered,
-            "num_segments": stats.num_segments,
-            "max_len": stats.max_len,
-            "min_len": stats.min_len,
-            "avg_len": stats.avg_len,
-        },
-        sort_keys=True,
-    )
+    return json.dumps(asdict(stats), sort_keys=True)

@@ -170,18 +170,21 @@ def _srpol_rec(span: Segment, pauses: list[Pause], max_len: float) -> list[Segme
 
 def segment_hybrid(pauses: list[Pause], total_duration: float, params: HybridParams) -> list[Segment]:
     """Pause-in-window scan (see module docstring for the exact rule)."""
-    if params.force_split:
-        raise ValueError("params.force_split must be False for segment_hybrid")
-    _check_sorted(pauses)
-    return split_to_end(pauses, 0.0, total_duration, params)
+    return _hybrid_scan(pauses, total_duration, params, "segment_hybrid", False)
 
 
 def segment_hybrid_force(
     pauses: list[Pause], total_duration: float, params: HybridParams
 ) -> list[Segment]:
     """Hybrid scan with forced splits at terminal-juncture pauses."""
-    if not params.force_split:
-        raise ValueError("params.force_split must be True for segment_hybrid_force")
+    return _hybrid_scan(pauses, total_duration, params, "segment_hybrid_force", True)
+
+
+def _hybrid_scan(
+    pauses: list[Pause], total_duration: float, params: HybridParams, name: str, force: bool
+) -> list[Segment]:
+    if params.force_split != force:
+        raise ValueError(f"params.force_split must be {force} for {name}")
     _check_sorted(pauses)
     return split_to_end(pauses, 0.0, total_duration, params)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from pausecut import compute_stats, read_wav, write_wav
+from pausecut import cli
 from pausecut.cli import main
 from pausecut.manifest import entries_to_segments, read_manifest, render_manifest, ManifestEntry
 from pausecut.metrics import boundary_prf, stats_rows
@@ -228,6 +230,125 @@ class TestConfigResolution:
         assert "unknown option" in capsys.readouterr().err
 
 
+def run_from(source, tmp_path, monkeypatch, command, key, text, positionals):
+    """Run `command` with option `key` set to `text` by flag, environment or config file."""
+    argv = [command]
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), text]
+    elif source == "env":
+        monkeypatch.setenv("PAUSECUT_" + key.upper(), text)
+    else:
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {text}\n")
+        argv += ["--config", conf]
+    return run(argv + positionals)
+
+
+class TestOptionValues:
+    """Config and environment text gets the checks a flag gets, before any input is read."""
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    @pytest.mark.parametrize(
+        "key,text",
+        [("format", "xml"), ("aggressiveness", "7"), ("frame_ms", "25"), ("strategy", "bogus")],
+    )
+    def test_bad_choice(self, tmp_path, monkeypatch, capsys, source, key, text):
+        audio = [tmp_path / "a.wav"]  # never created: reading it would fail differently
+        if source == "flag":
+            with pytest.raises(SystemExit) as exc:
+                run_from(source, tmp_path, monkeypatch, "segment", key, text, audio)
+            assert exc.value.code == 2
+            return
+        assert run_from(source, tmp_path, monkeypatch, "segment", key, text, audio) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("pausecut: error:")
+        assert key in captured.err and repr(text) in captured.err
+        assert "a.wav" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    @pytest.mark.parametrize(
+        "command,key,text",
+        [
+            ("segment", "jobs", "-1"),
+            ("segment", "jobs", "0"),
+            ("compare", "tolerance", "-1"),
+            ("compare", "tolerance", "nan"),
+            ("compare", "duration_slack", "-0.5"),
+            ("compare", "duration_slack", "inf"),
+        ],
+    )
+    def test_out_of_range(self, tmp_path, monkeypatch, capsys, source, command, key, text):
+        positionals = [tmp_path / "a.wav", tmp_path / "b.wav"]  # never created
+        assert run_from(source, tmp_path, monkeypatch, command, key, text, positionals) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pausecut: error: --" + key.replace("_", "-") + " must be")
+        assert "a.wav" not in err
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_total_shorter_than_coverage(self, tmp_path, monkeypatch, capsys, source):
+        path = tmp_path / "m.yaml"
+        entries = [
+            ManifestEntry("a.wav", 0.0, 1.0),
+            ManifestEntry("a.wav", 1.0, 1.0, dropped=True),
+            ManifestEntry("a.wav", 2.0, 1.0),
+        ]
+        path.write_text(render_manifest(entries, {}))
+
+        def stats(text):
+            return run_from(source, tmp_path, monkeypatch, "stats", "total_duration", text, [path])
+
+        for text in ("0.5", "-5", "2.9999"):
+            assert stats(text) == 1
+            captured = capsys.readouterr()
+            assert "--total-duration must be non-negative" in captured.err
+            assert captured.out == ""
+        # a total inside the six-decimal seam tolerance is the coverage
+        assert stats("2.999995") == 0
+
+
+class TestOptionTable:
+    """Each option is declared once, in cli.OPTIONS, and every source can set it."""
+
+    POSITIONALS = {"segment": ["a.wav"], "stats": ["m.yaml"], "compare": ["h.yaml", "r.yaml"]}
+
+    def test_flags_are_the_table_rows(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == {c for row in cli.OPTIONS.values() for c in row[0]}
+        for command, subparser in sub.choices.items():
+            expected = {"-h", "--help", "--config"}
+            for key, (commands, _, conv, _, _) in cli.OPTIONS.items():
+                if command in commands:
+                    flag = "--" + key.replace("_", "-")
+                    expected.add(flag)
+                    expected.add("--no-" + flag[2:] if conv is None else flag)
+                    expected |= {"-o"} if key == "output" else set()
+            flags = {flag for action in subparser._actions for flag in action.option_strings}
+            assert flags == expected, command
+
+    @pytest.mark.parametrize("key", sorted(cli.OPTIONS))
+    def test_every_source_sets_the_same_value(self, tmp_path, monkeypatch, key):
+        commands, default, conv, choices, _ = cli.OPTIONS[key]
+        flag = "--" + key.replace("_", "-")
+        text = "true" if conv is None else str(choices[-1]) if choices else "3"
+        flag_argv = [flag] if conv is None else [flag, text]
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {text}\n")
+        env = "PAUSECUT_" + key.upper()
+        for command in commands:
+            values = []
+            for argv, env_text in ((flag_argv, None), ([], text), (["--config", str(conf)], None)):
+                monkeypatch.delenv(env, raising=False)
+                if env_text is not None:
+                    monkeypatch.setenv(env, env_text)
+                args = cli._build_parser().parse_args([command, *argv, *self.POSITIONALS[command]])
+                value = cli._resolve(args)[key]
+                values.append((type(value), value))
+            assert values[0] == values[1] == values[2], (command, values)
+            assert values[0][1] != default
+
+
 class TestStats:
     def fixture_manifest(self, tmp_path):
         entries = [
@@ -280,6 +401,20 @@ class TestStats:
         assert run(["stats", path, "--json", "--total-duration", "inf"]) == 1
         captured = capsys.readouterr()
         assert "--total-duration must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["0.5", "-5"])
+    def test_header_total_shorter_than_coverage_rejected(self, tmp_path, capsys, value):
+        path = tmp_path / "t.yaml"
+        entries = [
+            ManifestEntry("a.wav", 0.0, 1.0),
+            ManifestEntry("a.wav", 1.0, 1.0, dropped=True),
+            ManifestEntry("a.wav", 2.0, 1.0),
+        ]
+        path.write_text(render_manifest(entries, {"total_duration": value}))
+        assert run(["stats", path, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert f"malformed manifest {path}: total_duration must be non-negative" in captured.err
         assert captured.out == ""
 
     def test_roundtrip_matches_in_process(self, talk_wav, tmp_path, capsys):
