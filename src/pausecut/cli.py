@@ -11,7 +11,8 @@ Each option is declared once, in ``OPTIONS``.  Its value resolves in
 precedence order: built-in default, then a ``--config`` file of
 ``key = value`` lines, then a ``PAUSECUT_<KEY>`` environment variable,
 then an explicit flag; text from the file and the environment gets the
-flag's conversion and allowed values.
+flag's conversion and allowed values.  ``READS`` says which options each
+``segment`` strategy reads.
 """
 
 from __future__ import annotations
@@ -26,11 +27,23 @@ from typing import TYPE_CHECKING
 from . import __version__
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .audio import AudioClip
     from .segmenters import Segment
 
-STRATEGIES = ("fixed", "vad", "srpol", "hybrid", "hybrid-force")
-STREAMABLE = ("hybrid", "hybrid-force")
+# What each strategy reads, and so what its manifest header echoes besides
+# `strategy` and `total_duration`.  Only a strategy that reads `streaming`
+# can run on the incremental engine.
+_VAD = ("aggressiveness", "frame_ms")
+READS = {
+    "fixed": ("length",),
+    "vad": _VAD,  # segment_vad_merge keeps every run, however short
+    "srpol": (*_VAD, "min_pause_ms", "max_len"),
+    "hybrid": (*_VAD, "min_pause_ms", "min_len", "max_len", "streaming"),
+    "hybrid-force": (*_VAD, "min_pause_ms", "min_len", "max_len", "streaming", "juncture_ms"),
+}
+STRATEGIES = tuple(READS)
 ENV_PREFIX = "PAUSECUT_"
 SEGMENT = ("segment",)
 
@@ -173,101 +186,88 @@ def _load_clip(path: str, raw_rate: int | None) -> AudioClip:
         raise CliError(f"cannot decode {path}: {exc}") from exc
 
 
-def _segment_clip(clip: AudioClip, cfg: dict) -> list[Segment]:
+def _segmenter(cfg: dict) -> Callable[[AudioClip], list[Segment]]:
+    """The chosen strategy as clip -> segments, its parameters built and checked now.
+
+    Called on the main thread before any input is opened, so a bad value
+    names no audio file, and numpy is first imported here rather than in
+    several workers at once.
+    """
     from .audio import iter_frames
-    from .segmenters import (
-        HybridParams,
-        Segment,
-        SrpolParams,
-        segment_fixed,
-        segment_hybrid,
-        segment_hybrid_force,
-        segment_srpol,
-        segment_vad_merge,
-    )
+    from .segmenters import HybridParams, Segment, SrpolParams, segment_fixed, segment_srpol
+    from .segmenters import segment_hybrid, segment_hybrid_force, segment_vad_merge
     from .streaming import StreamingSegmenter
     from .vad import VadConfig, classify, detect_pauses
 
-    strategy = cfg["strategy"]
+    strategy, length = cfg["strategy"], cfg["length"]
     if strategy == "fixed":
-        return segment_fixed(clip.duration, cfg["length"])
-
+        if not length > 0:
+            raise CliError(f"--length must be positive, got {length}")
+        return lambda clip: segment_fixed(clip.duration, length)
     vad_cfg = VadConfig(cfg["aggressiveness"], cfg["frame_ms"])
     if strategy == "vad":
-        return segment_vad_merge(classify(clip, vad_cfg))
+        return lambda clip: segment_vad_merge(classify(clip, vad_cfg))
+    try:
+        if strategy == "srpol":
+            params = SrpolParams(cfg["max_len"])
+        else:
+            force = strategy == "hybrid-force"
+            params = HybridParams(cfg["min_len"], cfg["max_len"], force, cfg["juncture_ms"])
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+    def pauses(clip: AudioClip) -> tuple[list, float]:
+        track = classify(clip, vad_cfg)
+        return detect_pauses(track, cfg["min_pause_ms"]), track.duration
+
+    def srpol(clip: AudioClip) -> list[Segment]:
+        found, duration = pauses(clip)
+        return segment_srpol(Segment(0.0, duration), found, params) if duration else []
+
+    def stream(clip: AudioClip) -> list[Segment]:
+        engine = StreamingSegmenter(params, vad_cfg)
+        frames = iter_frames(clip, vad_cfg.frame_ms)
+        return [seg for frame in frames for seg in engine.push_frame(frame)] + engine.flush()
 
     if strategy == "srpol":
-        track = classify(clip, vad_cfg)
-        if track.duration == 0:
-            return []
-        pauses = detect_pauses(track, cfg["min_pause_ms"])
-        return segment_srpol(Segment(0.0, track.duration), pauses, SrpolParams(cfg["max_len"]))
-
-    force = strategy == "hybrid-force"
-    params = HybridParams(cfg["min_len"], cfg["max_len"], force, cfg["juncture_ms"])
+        return srpol
     if cfg["streaming"]:
-        engine = StreamingSegmenter(params, vad_cfg)
-        segments = []
-        for frame in iter_frames(clip, vad_cfg.frame_ms):
-            segments.extend(engine.push_frame(frame))
-        return segments + engine.flush()
-    track = classify(clip, vad_cfg)
-    pauses = detect_pauses(track, cfg["min_pause_ms"])
-    scan = segment_hybrid_force if force else segment_hybrid
-    return scan(pauses, track.duration, params)
-
-
-def _effective_header(cfg: dict, total_duration: float) -> dict:
-    strategy = cfg["strategy"]
-    header = {"strategy": strategy, "total_duration": f"{total_duration:.6f}"}
-    if strategy == "fixed":
-        header["length"] = cfg["length"]
-    else:
-        header["aggressiveness"] = cfg["aggressiveness"]
-        header["frame_ms"] = cfg["frame_ms"]
-        if strategy != "vad":  # segment_vad_merge keeps every run, however short
-            header["min_pause_ms"] = cfg["min_pause_ms"] or cfg["frame_ms"]
-        if strategy == "srpol":
-            header["max_len"] = cfg["max_len"]
-        elif strategy in STREAMABLE:
-            header["min_len"] = cfg["min_len"]
-            header["max_len"] = cfg["max_len"]
-            header["streaming"] = cfg["streaming"]
-            if strategy == "hybrid-force":
-                header["juncture_ms"] = cfg["juncture_ms"]
-    return header
+        return stream
+    scan = segment_hybrid_force if params.force_split else segment_hybrid
+    return lambda clip: scan(*pauses(clip), params)
 
 
 def _cmd_segment(args: argparse.Namespace) -> int:
-    # The first import of numpy (by audio and vad) happens here, on this
-    # thread, rather than in two worker threads at once.
     from concurrent.futures import ThreadPoolExecutor
 
-    from . import audio, streaming, vad  # noqa: F401
     from .manifest import render_manifest, segments_to_entries, write_manifest
 
     cfg = _resolve(args)
-    if cfg["jobs"] is not None and cfg["jobs"] < 1:
-        raise CliError(f"--jobs must be at least 1, got {cfg['jobs']}")
-    if cfg["streaming"] and cfg["strategy"] not in STREAMABLE:
-        if cfg["strategy"] == "srpol":
+    strategy, frame_ms = cfg["strategy"], cfg["frame_ms"]
+    reads = READS[strategy]
+    for key in ("jobs", "raw_rate"):
+        if cfg[key] is not None and cfg[key] < 1:
+            raise CliError(f"{_flag(key)} must be at least 1, got {cfg[key]}")
+    if cfg["streaming"] and "streaming" not in reads:
+        if strategy == "srpol":
             raise CliError("strategy requires full audio: srpol cannot run with --streaming")
-        raise CliError(f"--streaming is not supported for strategy {cfg['strategy']!r}")
+        raise CliError(f"--streaming is not supported for strategy {strategy!r}")
+    if cfg["min_pause_ms"] is None:
+        cfg["min_pause_ms"] = frame_ms
     min_pause = cfg["min_pause_ms"]
-    if cfg["strategy"] != "fixed" and min_pause is not None and min_pause < cfg["frame_ms"]:
-        raise CliError(
-            f"min_pause_ms ({min_pause}) must be at least one frame ({cfg['frame_ms']} ms)"
-        )
-    if cfg["streaming"] and (min_pause or 0) > cfg["frame_ms"]:
+    if "frame_ms" in reads and min_pause < frame_ms:
+        raise CliError(f"min_pause_ms ({min_pause}) must be at least one frame ({frame_ms} ms)")
+    if cfg["streaming"] and min_pause > frame_ms:
         raise CliError(
             f"--streaming cannot honour --min-pause-ms {min_pause} above "
-            f"--frame-ms {cfg['frame_ms']}: a pause's length is unknown at the horizon"
+            f"--frame-ms {frame_ms}: a pause's length is unknown at the horizon"
         )
+    segment = _segmenter(cfg)
 
     def process(path: str) -> tuple[float, list]:
         clip = _load_clip(path, cfg["raw_rate"])
         try:
-            segments = _segment_clip(clip, cfg)
+            segments = segment(clip)
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from exc
         name = os.path.basename(path)
@@ -275,17 +275,14 @@ def _cmd_segment(args: argparse.Namespace) -> int:
             segments, name, clip.duration, cfg["emit_dropped"]
         )
 
-    inputs = list(args.inputs)
-    if len(inputs) > 1:
-        workers = cfg["jobs"] or min(len(inputs), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(process, inputs))
-    else:
-        results = [process(inputs[0])]
+    workers = cfg["jobs"] or min(len(args.inputs), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(process, args.inputs))
 
     total = sum(duration for duration, _ in results)
     entries = [e for _, file_entries in results for e in file_entries]
-    header = _effective_header(cfg, total)
+    header = {key: cfg[key] for key in reads}
+    header.update(strategy=strategy, total_duration=f"{total:.6f}")
     if cfg["output"] == "-":
         sys.stdout.write(render_manifest(entries, header, cfg["format"]))
     else:
@@ -299,11 +296,12 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 # -- stats -------------------------------------------------------------------
 
 
-def _read_manifest_checked(path: str):
-    from .manifest import ManifestError, read_manifest
+def _for_manifest(path: str, fn, *args):
+    """`fn(*args)`, with a read or format error reported against manifest `path`."""
+    from .manifest import ManifestError
 
     try:
-        return read_manifest(path)
+        return fn(*args)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except ManifestError as exc:
@@ -311,19 +309,22 @@ def _read_manifest_checked(path: str):
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from .manifest import SEAM_TOLERANCE, ManifestError, coverage_end, entries_to_segments
+    from .manifest import SEAM_TOLERANCE, coverage_end, entries_to_segments, read_manifest
     from .metrics import compute_stats, format_stats_table, stats_to_json
 
     cfg = _resolve(args)
-    entries, header = _read_manifest_checked(args.manifest)
+    entries, header = _for_manifest(args.manifest, read_manifest, args.manifest)
     coverage = coverage_end(entries)
     total, source = cfg["total_duration"], "--total-duration"
     if total is None and "total_duration" in header:
         source = f"malformed manifest {args.manifest}: total_duration"
+        value = header["total_duration"]
         try:
-            total = float(header["total_duration"])
-        except ValueError:
-            pass  # an unreadable header total falls back to the coverage
+            if isinstance(value, bool):  # JSON true is not one second
+                raise TypeError(value)
+            total = float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CliError(f"{source} must be a number, got {value!r}") from exc
     if total is None:
         total = coverage
     elif not math.isfinite(total):
@@ -332,10 +333,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         raise CliError(
             f"{source} must be non-negative and cover the manifest's {coverage:.6f}s, got {total}"
         )
-    try:
-        segments = entries_to_segments(entries, total)
-    except ManifestError as exc:
-        raise CliError(f"malformed manifest {args.manifest}: {exc}") from exc
+    segments = _for_manifest(args.manifest, entries_to_segments, entries, total)
     stats = compute_stats(segments, total)
     if cfg["json"]:
         print(stats_to_json(stats))
@@ -350,26 +348,23 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
-    from .manifest import ManifestError, coverage_end, entries_to_segments
+    from .manifest import coverage_end, entries_to_segments, read_manifest
     from .metrics import boundary_prf
 
     cfg = _resolve(args)
     for key in ("tolerance", "duration_slack"):
         if not 0 <= cfg[key] < math.inf:
             raise CliError(f"{_flag(key)} must be finite and non-negative, got {cfg[key]}")
-    hyp_entries, _ = _read_manifest_checked(args.hypothesis)
-    ref_entries, _ = _read_manifest_checked(args.reference)
+    hyp_entries, _ = _for_manifest(args.hypothesis, read_manifest, args.hypothesis)
+    ref_entries, _ = _for_manifest(args.reference, read_manifest, args.reference)
     hyp_total = coverage_end(hyp_entries)
     ref_total = coverage_end(ref_entries)
     if abs(hyp_total - ref_total) > cfg["duration_slack"]:
         raise CliError(
             f"manifests cover different durations: {hyp_total:.6f}s vs {ref_total:.6f}s"
         )
-    try:
-        hyp = entries_to_segments(hyp_entries)
-        ref = entries_to_segments(ref_entries)
-    except ManifestError as exc:
-        raise CliError(f"malformed manifest: {exc}") from exc
+    hyp = _for_manifest(args.hypothesis, entries_to_segments, hyp_entries)
+    ref = _for_manifest(args.reference, entries_to_segments, ref_entries)
     report = asdict(boundary_prf(hyp, ref, cfg["tolerance"]))
     if cfg["json"]:
         print(json.dumps(report, sort_keys=True))

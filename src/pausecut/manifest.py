@@ -208,8 +208,10 @@ def _parse_jsonl(text: str) -> tuple[list[ManifestEntry], dict]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"invalid JSON on line {i + 1}: {exc}") from exc
-        if "pausecut_manifest" in record:
+        if isinstance(record, dict) and "pausecut_manifest" in record:
             header = record.get("config", {})
+            if not isinstance(header, dict):
+                raise ManifestError(f"manifest config must be a mapping, got {header!r}")
             continue
         entries.append(_entry_from_record(record))
     return entries, header

@@ -91,7 +91,7 @@ class SrpolParams:
     max_len: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.max_len <= 0:
+        if not self.max_len > 0:  # nan too
             raise ValueError("max_len must be positive")
 
 

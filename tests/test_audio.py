@@ -34,6 +34,12 @@ def wav_bytes(samples: np.ndarray, rate: int = 16000, channels: int = 1,
     ) + payload
 
 
+# A data chunk with no fmt chunk before it, and a fmt chunk 2 bytes short of PCM's 16.
+NO_FMT = struct.pack("<4sI4s4sI", b"RIFF", 16, b"WAVE", b"data", 4) + b"\x01\x00\x02\x00"
+SHORT_FMT = wav_bytes(np.zeros(2, dtype=np.int16))
+SHORT_FMT = SHORT_FMT[:16] + struct.pack("<I", 14) + SHORT_FMT[20:34] + SHORT_FMT[36:]
+
+
 class TestDecodeWav:
     def test_empty_data_chunk(self):
         clip = decode_wav(wav_bytes(np.zeros(0, dtype=np.int16)))
@@ -156,8 +162,13 @@ class TestReadFile:
             wav_bytes(np.zeros(0, dtype=np.int16))[:36],
             b"OggS" + b"\x00" * 40,
             b"",
+            NO_FMT,
+            SHORT_FMT,
         ],
-        ids=["ok", "odd-data-chunk", "stereo", "8-bit", "truncated", "no-data", "not-riff", "empty"],
+        ids=[
+            "ok", "odd-data-chunk", "stereo", "8-bit", "truncated", "no-data", "not-riff",
+            "empty", "no-fmt", "short-fmt",
+        ],
     )
     def test_read_wav_decodes_like_decode_wav(self, tmp_path, data):
         path = tmp_path / "x.wav"

@@ -119,6 +119,14 @@ class TestSegment:
         assert code == 1
         assert "nope.wav" in capsys.readouterr().err
 
+    def test_output_directory_rejected_without_temp_file(self, talk_wav, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["segment", "--strategy", "fixed", "-o", out, talk_wav]) == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert out.is_dir() and not any(out.iterdir())
+        assert not list(tmp_path.glob(".manifest-*"))
+
     def test_undectable_file_names_it(self, tmp_path, capsys):
         bad = tmp_path / "bad.wav"
         bad.write_bytes(b"not audio at all")
@@ -229,6 +237,26 @@ class TestConfigResolution:
         assert run(["segment", "--config", cfg, talk_wav]) == 1
         assert "unknown option" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ("no-equals", "run.conf:2: expected key = value"),
+            ("missing", "cannot read config file"),
+            ("directory", "cannot read config file"),
+        ],
+    )
+    def test_bad_config_file(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "run.conf"
+        if config == "no-equals":
+            cfg.write_text("strategy = fixed\nlength 10\n")
+        elif config == "directory":
+            cfg.mkdir()
+        audio = tmp_path / "a.wav"  # never created: reading it would fail differently
+        assert run(["segment", "--config", cfg, audio]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pausecut: error: ") and message in err
+        assert "a.wav" not in err
+
 
 def run_from(source, tmp_path, monkeypatch, command, key, text, positionals):
     """Run `command` with option `key` set to `text` by flag, environment or config file."""
@@ -266,6 +294,15 @@ class TestOptionValues:
         assert "a.wav" not in captured.err
         assert captured.out == ""
 
+    # What the parameter objects say; every other case names its flag.
+    PARAMS_MESSAGES = {
+        ("segment", "max_len", "0"): "need 0 < min_len <= max_len, got (17.0, 0.0)",
+        ("segment", "min_len", "30"): "need 0 < min_len <= max_len, got (30.0, 20.0)",
+        ("hybrid-force", "juncture_ms", "0"): "juncture_ms must be positive",
+        ("srpol", "max_len", "-1"): "max_len must be positive",
+        ("srpol", "max_len", "nan"): "max_len must be positive",
+    }
+
     @pytest.mark.parametrize("source", ["flag", "env", "config"])
     @pytest.mark.parametrize(
         "command,key,text",
@@ -276,13 +313,24 @@ class TestOptionValues:
             ("compare", "tolerance", "nan"),
             ("compare", "duration_slack", "-0.5"),
             ("compare", "duration_slack", "inf"),
+            ("segment", "max_len", "0"),
+            ("segment", "min_len", "30"),
+            ("hybrid-force", "juncture_ms", "0"),
+            ("fixed", "length", "0"),
+            ("fixed", "length", "nan"),
+            ("srpol", "max_len", "-1"),
+            ("srpol", "max_len", "nan"),
+            ("segment", "raw_rate", "0"),
         ],
     )
     def test_out_of_range(self, tmp_path, monkeypatch, capsys, source, command, key, text):
         positionals = [tmp_path / "a.wav", tmp_path / "b.wav"]  # never created
+        message = self.PARAMS_MESSAGES.get((command, key, text))
+        if command in cli.STRATEGIES:  # `segment --strategy COMMAND`
+            command, positionals = "segment", ["--strategy", command, *positionals]
         assert run_from(source, tmp_path, monkeypatch, command, key, text, positionals) == 1
         err = capsys.readouterr().err
-        assert err.startswith("pausecut: error: --" + key.replace("_", "-") + " must be")
+        assert err.startswith("pausecut: error: " + (message or cli._flag(key) + " must be"))
         assert "a.wav" not in err
 
     @pytest.mark.parametrize("source", ["flag", "env", "config"])
@@ -395,6 +443,31 @@ class TestStats:
         captured = capsys.readouterr()
         assert f"malformed manifest {path}: total_duration" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text,shown",
+        [
+            ("# total_duration: abc\n- {wav: a.wav, offset: 0.0, duration: 1.0}\n", "'abc'"),
+            ('{"pausecut_manifest": 1, "config": {"total_duration": [3]}}\n', "[3]"),
+            ('{"pausecut_manifest": 1, "config": {"total_duration": true}}\n', "True"),
+            ('{"pausecut_manifest": 1, "config": {"total_duration": null}}\n', "None"),
+        ],
+        ids=["yaml-text", "jsonl-list", "jsonl-bool", "jsonl-null"],
+    )
+    def test_non_number_header_total_rejected(self, tmp_path, capsys, text, shown):
+        path = tmp_path / "t.manifest"
+        path.write_text(text)
+        assert run(["stats", path, "--json"]) == 1
+        captured = capsys.readouterr()
+        expected = f"malformed manifest {path}: total_duration must be a number, got {shown}"
+        assert captured.err == f"pausecut: error: {expected}\n"
+        assert captured.out == ""
+
+    def test_numeric_jsonl_header_total_accepted(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text(render_manifest([ManifestEntry("a.wav", 0.0, 1.0)], {"total_duration": 4}, "jsonl"))
+        assert run(["stats", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["pct_filtered"] == 75.0
 
     def test_non_finite_flag_total_rejected(self, tmp_path, capsys):
         path = self.fixture_manifest(tmp_path)
@@ -580,6 +653,88 @@ class TestHeader:
         assert "min_pause_ms" not in out.read_text()
 
 
+class TestHeaderLines:
+    """The full header of each case: its YAML comment lines and its JSONL config record.
+
+    `min_pause_ms` defaults to one frame, and `streaming` prints as
+    Python's False in YAML but as JSON's false in JSONL.
+    """
+
+    GOLDEN = {
+        "fixed": (
+            "length: 20.0|strategy: fixed|total_duration: 45.000000",
+            '"length": 20.0, "strategy": "fixed", "total_duration": "45.000000"',
+        ),
+        "vad": (
+            "aggressiveness: 2|frame_ms: 20|strategy: vad|total_duration: 45.000000",
+            '"aggressiveness": 2, "frame_ms": 20, "strategy": "vad", "total_duration": "45.000000"',
+        ),
+        "srpol": (
+            "aggressiveness: 2|frame_ms: 20|max_len: 20.0|min_pause_ms: 20|strategy: srpol"
+            "|total_duration: 45.000000",
+            '"aggressiveness": 2, "frame_ms": 20, "max_len": 20.0, "min_pause_ms": 20, '
+            '"strategy": "srpol", "total_duration": "45.000000"',
+        ),
+        "hybrid": (
+            "aggressiveness: 2|frame_ms: 20|max_len: 20.0|min_len: 17.0|min_pause_ms: 20"
+            "|strategy: hybrid|streaming: False|total_duration: 45.000000",
+            '"aggressiveness": 2, "frame_ms": 20, "max_len": 20.0, "min_len": 17.0, '
+            '"min_pause_ms": 20, "strategy": "hybrid", "streaming": false, '
+            '"total_duration": "45.000000"',
+        ),
+        "hybrid-force": (
+            "aggressiveness: 2|frame_ms: 20|juncture_ms: 550|max_len: 20.0|min_len: 17.0"
+            "|min_pause_ms: 20|strategy: hybrid-force|streaming: False|total_duration: 45.000000",
+            '"aggressiveness": 2, "frame_ms": 20, "juncture_ms": 550, "max_len": 20.0, '
+            '"min_len": 17.0, "min_pause_ms": 20, "strategy": "hybrid-force", '
+            '"streaming": false, "total_duration": "45.000000"',
+        ),
+        "hybrid --streaming": (
+            "aggressiveness: 2|frame_ms: 20|max_len: 20.0|min_len: 17.0|min_pause_ms: 20"
+            "|strategy: hybrid|streaming: True|total_duration: 45.000000",
+            '"aggressiveness": 2, "frame_ms": 20, "max_len": 20.0, "min_len": 17.0, '
+            '"min_pause_ms": 20, "strategy": "hybrid", "streaming": true, '
+            '"total_duration": "45.000000"',
+        ),
+        "hybrid-force --streaming": (
+            "aggressiveness: 2|frame_ms: 20|juncture_ms: 550|max_len: 20.0|min_len: 17.0"
+            "|min_pause_ms: 20|strategy: hybrid-force|streaming: True|total_duration: 45.000000",
+            '"aggressiveness": 2, "frame_ms": 20, "juncture_ms": 550, "max_len": 20.0, '
+            '"min_len": 17.0, "min_pause_ms": 20, "strategy": "hybrid-force", '
+            '"streaming": true, "total_duration": "45.000000"',
+        ),
+        "srpol --min-pause-ms 60": (
+            "aggressiveness: 2|frame_ms: 20|max_len: 20.0|min_pause_ms: 60|strategy: srpol"
+            "|total_duration: 45.000000",
+            '"aggressiveness": 2, "frame_ms": 20, "max_len": 20.0, "min_pause_ms": 60, '
+            '"strategy": "srpol", "total_duration": "45.000000"',
+        ),
+        "hybrid-force --min-pause-ms 60": (
+            "aggressiveness: 2|frame_ms: 20|juncture_ms: 550|max_len: 20.0|min_len: 17.0"
+            "|min_pause_ms: 60|strategy: hybrid-force|streaming: False|total_duration: 45.000000",
+            '"aggressiveness": 2, "frame_ms": 20, "juncture_ms": 550, "max_len": 20.0, '
+            '"min_len": 17.0, "min_pause_ms": 60, "strategy": "hybrid-force", '
+            '"streaming": false, "total_duration": "45.000000"',
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_header_lines(self, talk_wav, tmp_path, case):
+        strategy, *extra = case.split()
+        yaml_keys, json_config = self.GOLDEN[case]
+        texts = {}
+        for fmt in ("yaml", "jsonl"):
+            out = tmp_path / f"m.{fmt}"
+            argv = ["segment", "--strategy", strategy, *extra, "--format", fmt, "-o", out]
+            assert run(argv + [talk_wav]) == 0
+            texts[fmt] = out.read_text().splitlines()
+        yaml_header = [line for line in texts["yaml"] if line.startswith("#")]
+        assert yaml_header == ["# pausecut manifest v1"] + [
+            "# " + line for line in yaml_keys.split("|")
+        ]
+        assert texts["jsonl"][0] == '{"config": {' + json_config + '}, "pausecut_manifest": 1}'
+
+
 class TestParallelSegment:
     def test_jobs_2_equals_jobs_1_in_fresh_process(self, tmp_path):
         # a fresh process first imports numpy inside `segment`; with two
@@ -621,10 +776,12 @@ class TestMistypedManifest:
             "- {wav: a.wav, offset: .nan, duration: 1.0}\n",
             "- {wav: a.wav, offset: 0.0, duration: .inf}\n",
             '{"wav": "a.wav", "offset": 0.0, "duration": 1.0, "dropped": "false"}\n',
+            "- {wav: a.wav, offset: 0.0, duration: 1.0}\n- {wav: a.wav, offset: 0.5, duration: 0.5}\n",
+            '{"pausecut_manifest": 1, "config": 5}\n{"wav": "a.wav", "offset": 0.0, "duration": 1.0}\n',
         ],
-        ids=["wav-bool", "offset-nan", "duration-inf", "dropped-str"],
+        ids=["wav-bool", "offset-nan", "duration-inf", "dropped-str", "overlap", "config-int"],
     )
-    @pytest.mark.parametrize("command", ["stats", "stats-json", "compare"])
+    @pytest.mark.parametrize("command", ["stats", "stats-json", "compare", "compare-bad-first"])
     def test_exits_1_naming_the_file(self, tmp_path, capsys, text, command):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)
@@ -634,6 +791,7 @@ class TestMistypedManifest:
             "stats": ["stats", bad],
             "stats-json": ["stats", bad, "--json"],
             "compare": ["compare", good, bad],
+            "compare-bad-first": ["compare", bad, good],
         }[command]
         assert run(argv) == 1
         captured = capsys.readouterr()

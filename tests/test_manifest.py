@@ -251,11 +251,14 @@ class TestYamlLoader:
             ("- {wav: a.wav, offset: x, duration: 1.0}", "bad manifest record"),
             ("- a.wav\n", "mapping"),
             ("{wav: a.wav, offset: 0.0, duration: 1.0}\n", "invalid JSON"),
+            ('{"pausecut_manifest": 1, "config": 5}\n', "config must be a mapping"),
+            ('{"pausecut_manifest": 1, "config": {}}\n5\n', "record must be a mapping"),
         ],
         ids=[
             "unclosed-list", "non-list", "missing-key", "bad-jsonl", "unclosed-quote",
             "unclosed-mapping", "reserved-indicator", "undefined-alias", "bad-number",
-            "non-mapping-record", "jsonl-looking",
+            "non-mapping-record", "jsonl-looking", "config-not-mapping",
+            "jsonl-non-mapping-record",
         ],
     )
     def test_invalid_manifests_raise_under_each_loader(self, loader, text, match):

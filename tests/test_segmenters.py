@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,11 @@ class TestSrpol:
         pauses = [Pause.at(10.0, 0.5), Pause.at(30.0, 0.5)]
         got = segment_srpol(span, pauses, SrpolParams(20.0))
         assert got[0].end == 10.25
+
+    @pytest.mark.parametrize("max_len", [0.0, -1.0, math.nan])
+    def test_non_positive_max_len_rejected(self, max_len):
+        with pytest.raises(ValueError, match="max_len must be positive"):
+            SrpolParams(max_len)
 
     def test_pause_outside_span_rejected(self):
         with pytest.raises(ValueError, match="outside span"):
