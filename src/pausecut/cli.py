@@ -193,7 +193,7 @@ def _segmenter(cfg: dict) -> Callable[[AudioClip], list[Segment]]:
     names no audio file, and numpy is first imported here rather than in
     several workers at once.
     """
-    from .audio import iter_frames
+    from .audio import iter_frames, samples_per_frame
     from .segmenters import HybridParams, Segment, SrpolParams, segment_fixed, segment_srpol
     from .segmenters import segment_hybrid, segment_hybrid_force, segment_vad_merge
     from .streaming import StreamingSegmenter
@@ -205,6 +205,11 @@ def _segmenter(cfg: dict) -> Callable[[AudioClip], list[Segment]]:
             raise CliError(f"--length must be positive, got {length}")
         return lambda clip: segment_fixed(clip.duration, length)
     vad_cfg = VadConfig(cfg["aggressiveness"], cfg["frame_ms"])
+    if cfg["raw_rate"] is not None:
+        try:
+            samples_per_frame(cfg["raw_rate"], vad_cfg.frame_ms)
+        except ValueError as exc:
+            raise CliError(f"--raw-rate must be usable with --frame-ms: {exc}") from exc
     if strategy == "vad":
         return lambda clip: segment_vad_merge(classify(clip, vad_cfg))
     try:
@@ -289,7 +294,7 @@ def _cmd_segment(args: argparse.Namespace) -> int:
         try:
             write_manifest(cfg["output"], entries, header, cfg["format"])
         except OSError as exc:
-            raise CliError(f"cannot write {cfg['output']}: {exc}") from exc
+            raise CliError(f"cannot write {cfg['output']}: {exc.strerror}") from exc
     return 0
 
 

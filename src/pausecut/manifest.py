@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import tempfile
 from dataclasses import dataclass
 
@@ -86,40 +85,30 @@ def render_manifest(
     raise ValueError(f"unknown manifest format {fmt!r}")
 
 
-# Characters that break a line or end a plain scalar inside `{...}` ("?"
-# ends one there for the pure-Python loader); a plain scalar is runs of
-# the others joined by spaces.  Then the indicators that may not start it.
-_ENDS_PLAIN = " \t\r\n\x85\u2028\u2029,?[]{}"
-_RUN = f"[^{re.escape(_ENDS_PLAIN)}]+"
-_PLAIN_RUNS = re.compile(f"{_RUN}(?: +{_RUN})*")
-_INDICATORS = ":#&*!|>'\"%@`"
-_STR_TAG = "tag:yaml.org,2002:str"
+_PLAIN_LOADERS = {yaml.SafeLoader, YAML_LOADER}  # fixed now, whatever YAML_LOADER becomes
 
 
 def _yaml_scalar(text: str) -> str:
     """`text` as a flow scalar that loads back as the same string.
 
-    Plain when YAML reads it as written: only characters YAML holds raw
-    (PyYAML's own set), no break, tab or flow indicator, no comment
-    (" #") or key (":" before a space or the end) mark, no indicator
-    first ("-" is one only before a space), and resolved as a string
-    rather than a bool, number, null or date.  Otherwise double-quoted
-    with Python's escapes, which are YAML's; JSON's would spell a
-    character past U+FFFF as a surrogate pair.
+    Plain when it holds no line break, so each record stays one line,
+    and a record holding it plain reads back as itself under the pure
+    and the libyaml loader.  Otherwise double-quoted with Python's
+    escapes, which are YAML's; JSON's would spell a character past
+    U+FFFF as a surrogate pair.
     """
-    plain = (
-        _PLAIN_RUNS.fullmatch(text)
-        and not yaml.reader.Reader.NON_PRINTABLE.search(text)
-        and text[0] not in _INDICATORS
-        and not text.startswith("- ")
-        and " #" not in text
-        and ": " not in text
-        and not text.endswith(":")
-        and yaml.resolver.Resolver().resolve(yaml.ScalarNode, text, (True, False)) == _STR_TAG
-    )
-    if plain:
+    if set(text).isdisjoint("\r\n\x85\u2028\u2029") and all(
+        _reads_back(text, loader) for loader in _PLAIN_LOADERS
+    ):
         return text
     return '"' + text.encode("unicode_escape").decode("ascii").replace('"', '\\"') + '"'
+
+
+def _reads_back(text: str, loader) -> bool:
+    try:
+        return yaml.load(f"- {{wav: {text}, offset: 0}}", loader) == [{"wav": text, "offset": 0}]
+    except yaml.YAMLError:
+        return False
 
 
 def _render_yaml(entries: list[ManifestEntry], header: dict) -> str:

@@ -78,7 +78,7 @@ class HybridParams:
             raise ValueError(
                 f"need 0 < min_len <= max_len, got ({self.min_len}, {self.max_len})"
             )
-        if self.juncture_ms <= 0:
+        if self.force_split and self.juncture_ms <= 0:
             raise ValueError("juncture_ms must be positive")
 
     @property

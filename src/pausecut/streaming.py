@@ -40,7 +40,7 @@ from dataclasses import asdict
 
 from .audio import Frame, frame_time
 from .segmenters import HybridParams, Segment, split_to_end, split_until
-from .vad import EnergyVad, Pause, VadConfig, frame_energy
+from .vad import FLOOR_WINDOW, EnergyVad, Pause, VadConfig, frame_energy
 
 _STATE_VERSION = 2
 
@@ -162,15 +162,17 @@ class StreamingSegmenter:
             if state["version"] != _STATE_VERSION:
                 raise ValueError(f"found version {state['version']!r}")
             engine = cls(HybridParams(**state["params"]), VadConfig(**state["vad_config"]))
-            vad = engine._vad
-            vad._window.extend(float(e) for e in state["vad_window"])
-            vad._sorted = sorted(vad._window)
-            vad._hang = state["vad_hangover"]
-            engine._segment_start = state["segment_start"]
-            engine._frames_pushed = state["frames_pushed"]
-            engine._run_start = state["run_start"]
-            engine._finished = state["finished"]
             fm = engine.vad_config.frame_ms
+            n, start, run = state["frames_pushed"], state["segment_start"], state["run_start"]
+            if not (type(n) is int and len(state["vad_window"]) == min(n, FLOOR_WINDOW)
+                    and type(start) is float and 0 <= start <= frame_time(n, fm)
+                    and (run is None or type(run) is int and 0 <= run < n)
+                    and type(state["finished"]) is bool and all(
+                        type(a) is type(b) is int and 0 <= a <= b < n for a, b in state["pauses"])):
+                raise ValueError("a position, window length, run, pause or flag out of range")
+            engine._vad = EnergyVad(engine.vad_config, state["vad_window"], state["vad_hangover"])
+            engine._frames_pushed, engine._segment_start, engine._run_start = n, start, run
+            engine._finished = state["finished"]
             engine._pauses = [Pause.from_frames(a, b, fm) for a, b in state["pauses"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"not a version {_STATE_VERSION} checkpoint: {exc}") from exc

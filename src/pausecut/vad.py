@@ -176,11 +176,15 @@ class EnergyVad:
     applies to a whole clip; the two give bit-identical labels.
     """
 
-    def __init__(self, config: VadConfig):
+    def __init__(self, config: VadConfig, window: list[float] | tuple = (), hang: int = 0):
+        """`window` (the last energies, oldest first) and `hang` resume a saved state."""
+        if not (type(hang) is int and 0 <= hang <= config.hangover and len(window) <= FLOOR_WINDOW
+                and all(type(e) is float for e in window) and np.isfinite(window).all()):
+            raise ValueError("not a saved VAD state: bad floor window or hangover")
         self.config = config
-        self._window: deque[float] = deque(maxlen=FLOOR_WINDOW)
-        self._sorted: list[float] = []
-        self._hang = 0
+        self._window: deque[float] = deque(window, maxlen=FLOOR_WINDOW)
+        self._sorted = sorted(window)
+        self._hang = hang
 
     def step(self, energy: float) -> bool:
         """Label the next frame given its energy."""

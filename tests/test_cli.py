@@ -127,6 +127,34 @@ class TestSegment:
         assert out.is_dir() and not any(out.iterdir())
         assert not list(tmp_path.glob(".manifest-*"))
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["missing-dir", "directory"])
+    def test_unwritable_output_names_only_its_path(self, talk_wav, tmp_path, capsys, existing):
+        out = tmp_path / "out" if existing else tmp_path / "missing" / "x.yaml"
+        if existing:
+            out.mkdir()
+        reason = "Is a directory" if existing else "No such file or directory"
+        assert run(["segment", "--strategy", "fixed", "-o", out, talk_wav]) == 1
+        assert capsys.readouterr().err == f"pausecut: error: cannot write {out}: {reason}\n"
+
+    def test_raw_rate_framing_checked_only_where_frames_are_read(self, tmp_path, capsys):
+        pcm = tmp_path / "t.pcm"
+        pcm.write_bytes(np.zeros(8001 * 3, dtype="<i2").tobytes())
+        args = ["segment", "--raw-rate", "8001", pcm, tmp_path / "missing.pcm"]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pausecut: error: --raw-rate must be usable with --frame-ms: ")
+        assert "t.pcm" not in err
+        assert run(["segment", "--strategy", "fixed", "--raw-rate", "8001", pcm]) == 0
+        assert "duration: 3.000000" in capsys.readouterr().out
+
+    def test_plain_hybrid_ignores_juncture_ms(self, talk_wav, capsys):
+        assert run(["segment", "--strategy", "hybrid", talk_wav]) == 0
+        expected = capsys.readouterr().out
+        assert run(["segment", "--strategy", "hybrid", "--juncture-ms", "0", talk_wav]) == 0
+        assert capsys.readouterr().out == expected
+        assert run(["segment", "--strategy", "hybrid-force", "--juncture-ms", "0", talk_wav]) == 1
+        assert "juncture_ms must be positive" in capsys.readouterr().err
+
     def test_undectable_file_names_it(self, tmp_path, capsys):
         bad = tmp_path / "bad.wav"
         bad.write_bytes(b"not audio at all")
@@ -321,6 +349,7 @@ class TestOptionValues:
             ("srpol", "max_len", "-1"),
             ("srpol", "max_len", "nan"),
             ("segment", "raw_rate", "0"),
+            ("segment", "raw_rate", "8001"),
         ],
     )
     def test_out_of_range(self, tmp_path, monkeypatch, capsys, source, command, key, text):

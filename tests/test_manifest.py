@@ -300,6 +300,36 @@ class TestWavQuoting:
             rendered = render_manifest([ManifestEntry(wav, 0.0, 1.0)]).splitlines()[-1]
             assert (rendered == plain) == same, repr(wav)
 
+    @pytest.mark.parametrize("brk", ["\r", "\n", "\x85", "\u2028", "\u2029"])
+    def test_line_breaks_quoted(self, brk):
+        # both loaders read a line or paragraph separator back as itself
+        # inside a plain scalar, but each record must stay on one line
+        text = render_manifest([ManifestEntry(f"a{brk}b.wav", 0.0, 1.0)])
+        escaped = brk.encode("unicode_escape").decode("ascii")
+        assert text.splitlines()[1:] == [
+            f'- {{wav: "a{escaped}b.wav", offset: 0.000000, duration: 1.000000}}'
+        ]
+
+    def test_nested_aliases_quoted(self):
+        # a name that plain would load as 9**7 shared references; only the
+        # record's top level is compared, so the check stays cheap
+        levels = ["&a [x,x,x,x,x,x,x,x,x]"] + [
+            f"&{name} [{','.join(['*' + prev] * 9)}]" for prev, name in zip("abcdef", "bcdefg")
+        ]
+        wav = "n, " + ", ".join(f"k{i}: {level}" for i, level in enumerate(levels))
+        entry = ManifestEntry(wav, 0.0, 1.0)
+        text = render_manifest([entry])
+        assert f'- {{wav: "{wav}", offset:' in text
+        assert parse_manifest(text)[0] == [entry]
+
+    def test_bytes_do_not_follow_yaml_loader(self, monkeypatch):
+        entries = [ManifestEntry(wav, 0.0, 1.0) for wav in UNSAFE_NAMES]
+        rendered = []
+        for loader in LOADERS:
+            monkeypatch.setattr(manifest, "YAML_LOADER", loader)
+            rendered.append(render_manifest(entries))
+        assert all(text == rendered[0] for text in rendered)
+
 
 class TestRecordTypes:
     @pytest.mark.parametrize(

@@ -270,7 +270,54 @@ def _stream(engine, fs):
     return out
 
 
+def _checkpoint(**changes) -> bytes:
+    """A checkpoint taken in an open pause after a closed one, with `changes` applied."""
+    engine = StreamingSegmenter(FORCE, CFG)
+    _stream(engine, frames(clip_from(tone(2.5), silence(0.6), tone(1.0), silence(0.3)), 20))
+    state = json.loads(engine.save_state())
+    assert state["frames_pushed"] == 220 and state["run_start"] == 209
+    assert state["pauses"] == [[129, 154]] and len(state["vad_window"]) == 100
+    return json.dumps({**state, **changes}).encode()
+
+
+_WINDOW = json.loads(_checkpoint())["vad_window"]
+
+# States no sequence of pushes leaves: each must be refused, never restored.
+_IMPOSSIBLE = {
+    "frames-pushed-fraction": _checkpoint(frames_pushed=2.5),
+    "frames-pushed-float": _checkpoint(frames_pushed=220.0),
+    "frames-pushed-negative": _checkpoint(frames_pushed=-1),
+    "window-too-long": _checkpoint(vad_window=_WINDOW + _WINDOW[:50]),
+    "window-too-short": _checkpoint(vad_window=_WINDOW[1:]),
+    "window-nan-text": _checkpoint(vad_window=["nan"]),
+    "window-text-entry": _checkpoint(vad_window=_WINDOW[:-1] + ["1.5"]),
+    "window-nan": _checkpoint(vad_window=_WINDOW[:-1] + [float("nan")]),
+    "window-inf": _checkpoint(vad_window=[float("inf")] + _WINDOW[1:]),
+    "window-bool-entry": _checkpoint(vad_window=_WINDOW[:-1] + [True]),
+    "hangover-text": _checkpoint(vad_hangover="x"),
+    "hangover-negative": _checkpoint(vad_hangover=-1),
+    "hangover-past-mode": _checkpoint(vad_hangover=CFG.hangover + 1),
+    "hangover-bool": _checkpoint(vad_hangover=True),
+    "segment-start-text": _checkpoint(segment_start="0"),
+    "segment-start-nan": _checkpoint(segment_start=float("nan")),
+    "segment-start-bool": _checkpoint(segment_start=True),
+    "segment-start-past-stream": _checkpoint(segment_start=4.42),
+    "run-start-at-end": _checkpoint(run_start=220),
+    "run-start-past-end": _checkpoint(run_start=500),
+    "run-start-fraction": _checkpoint(run_start=209.5),
+    "finished-text": _checkpoint(finished="no"),
+    "finished-int": _checkpoint(finished=0),
+    "pause-fraction": _checkpoint(pauses=[[129.5, 154]]),
+    "pause-past-end": _checkpoint(pauses=[[129, 220]]),
+    "pause-reversed": _checkpoint(pauses=[[154, 129]]),
+}
+
+
 class TestCheckpoint:
+    def test_impossible_states_fixture_restores_unchanged(self):
+        blob = _checkpoint()
+        assert StreamingSegmenter.restore_state(blob).save_state() == blob.replace(b" ", b"")
+
     @pytest.mark.parametrize("params", [PLAIN, FORCE], ids=["plain", "force"])
     def test_resume_from_every_kind_of_state(self, rng, params):
         clips = [
@@ -318,7 +365,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "blob",
-        [b"", b"[2]", b'"version"', b'{"version": 1}', b'{"version": 2}', b"\xff\xfe\x00"],
+        [b"", b"[2]", b'"version"', b'{"version": 1}', b'{"version": 2}', b"\xff\xfe\x00"]
+        + [pytest.param(blob, id=name) for name, blob in _IMPOSSIBLE.items()],
     )
     def test_malformed_blob(self, blob):
         with pytest.raises(ValueError, match="version"):

@@ -233,6 +233,25 @@ class TestTypes:
         with pytest.raises(ValueError, match="S/N"):
             FrameLabelTrack.from_label_line("SNX", 20)
 
+    @pytest.mark.parametrize(
+        "window, hang",
+        [
+            ([1.0] * (FLOOR_WINDOW + 1), 0),
+            ([1.0, "2.0"], 0),
+            ([1.0, True], 0),
+            ([1.0, float("nan")], 0),
+            ([float("-inf")], 0),
+            ([], -1),
+            ([], 5),
+            ([], 1.0),
+        ],
+        ids=["window-too-long", "text", "bool", "nan", "inf", "hang-negative", "hang-past-mode",
+             "hang-float"],
+    )
+    def test_energy_vad_refuses_state_steps_cannot_leave(self, window, hang):
+        with pytest.raises(ValueError, match="VAD state"):
+            EnergyVad(VadConfig(2, 20), window, hang)  # mode 2: hangover 4
+
     def test_pause_constructors(self):
         p = Pause.from_frames(5, 9, 20)
         assert (p.start, p.duration, p.end) == (0.1, 0.1, 0.2)
