@@ -85,17 +85,16 @@ def render_manifest(
     raise ValueError(f"unknown manifest format {fmt!r}")
 
 
-_PLAIN_LOADERS = {yaml.SafeLoader, YAML_LOADER}  # fixed now, whatever YAML_LOADER becomes
+_PLAIN_LOADERS = tuple(dict.fromkeys([yaml.SafeLoader, YAML_LOADER]))  # fixed now, in order
 
 
 def _yaml_scalar(text: str) -> str:
     """`text` as a flow scalar that loads back as the same string.
 
-    Plain when it holds no line break, so each record stays one line,
-    and a record holding it plain reads back as itself under the pure
-    and the libyaml loader.  Otherwise double-quoted with Python's
-    escapes, which are YAML's; JSON's would spell a character past
-    U+FFFF as a surrogate pair.
+    Plain when it holds no line break, so each record stays one line, and a
+    record holding it plain reads back as itself under the pure and the
+    libyaml loader.  Otherwise double-quoted with Python's escapes, which
+    are YAML's; JSON's would write a character past U+FFFF as two surrogates.
     """
     if set(text).isdisjoint("\r\n\x85\u2028\u2029") and all(
         _reads_back(text, loader) for loader in _PLAIN_LOADERS
@@ -107,7 +106,7 @@ def _yaml_scalar(text: str) -> str:
 def _reads_back(text: str, loader) -> bool:
     try:
         return yaml.load(f"- {{wav: {text}, offset: 0}}", loader) == [{"wav": text, "offset": 0}]
-    except yaml.YAMLError:
+    except (yaml.YAMLError, UnicodeError):  # libyaml cannot encode a lone surrogate
         return False
 
 

@@ -164,11 +164,12 @@ class StreamingSegmenter:
             engine = cls(HybridParams(**state["params"]), VadConfig(**state["vad_config"]))
             fm = engine.vad_config.frame_ms
             n, start, run = state["frames_pushed"], state["segment_start"], state["run_start"]
+            spans = [*state["pauses"], *([] if run is None else [[run, run]])]  # the run comes last
             if not (type(n) is int and len(state["vad_window"]) == min(n, FLOOR_WINDOW)
                     and type(start) is float and 0 <= start <= frame_time(n, fm)
-                    and (run is None or type(run) is int and 0 <= run < n)
-                    and type(state["finished"]) is bool and all(
-                        type(a) is type(b) is int and 0 <= a <= b < n for a, b in state["pauses"])):
+                    and type(state["finished"]) is type(engine.params.force_split) is bool
+                    and all(type(a) is type(b) is int and last < a <= b < n
+                            for last, (a, b) in zip([-1] + [b for _, b in spans], spans))):
                 raise ValueError("a position, window length, run, pause or flag out of range")
             engine._vad = EnergyVad(engine.vad_config, state["vad_window"], state["vad_hangover"])
             engine._frames_pushed, engine._segment_start, engine._run_start = n, start, run

@@ -322,6 +322,18 @@ class TestWavQuoting:
         assert f'- {{wav: "{wav}", offset:' in text
         assert parse_manifest(text)[0] == [entry]
 
+    @pytest.mark.parametrize("order", [1, -1], ids=["pure-first", "libyaml-first"])
+    def test_lone_surrogate_quoted(self, monkeypatch, order):
+        # os.path.basename of a non-UTF-8 file name holds one; libyaml
+        # refuses to encode it, which must mean "quote" in either order
+        monkeypatch.setattr(manifest, "_PLAIN_LOADERS", tuple(LOADERS[::order]))
+        text = render_manifest([ManifestEntry("\udcff.wav", 0.0, 1.0)])
+        line = '- {wav: "\\udcff.wav", offset: 0.000000, duration: 1.000000}'
+        assert text.splitlines()[-1] == line
+        assert yaml.load(line, Loader=yaml.SafeLoader) == [
+            {"wav": "\udcff.wav", "offset": 0.0, "duration": 1.0}
+        ]
+
     def test_bytes_do_not_follow_yaml_loader(self, monkeypatch):
         entries = [ManifestEntry(wav, 0.0, 1.0) for wav in UNSAFE_NAMES]
         rendered = []

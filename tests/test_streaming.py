@@ -281,6 +281,7 @@ def _checkpoint(**changes) -> bytes:
 
 
 _WINDOW = json.loads(_checkpoint())["vad_window"]
+_PARAMS = json.loads(_checkpoint())["params"]
 
 # States no sequence of pushes leaves: each must be refused, never restored.
 _IMPOSSIBLE = {
@@ -310,6 +311,11 @@ _IMPOSSIBLE = {
     "pause-fraction": _checkpoint(pauses=[[129.5, 154]]),
     "pause-past-end": _checkpoint(pauses=[[129, 220]]),
     "pause-reversed": _checkpoint(pauses=[[154, 129]]),
+    "pauses-out-of-order": _checkpoint(pauses=[[150, 160], [129, 140]]),
+    "pauses-overlapping": _checkpoint(pauses=[[129, 154], [154, 160]]),
+    "pause-past-run-start": _checkpoint(pauses=[[129, 154], [200, 215]]),
+    "force-split-text": _checkpoint(params={**_PARAMS, "force_split": "no"}),
+    "force-split-int": _checkpoint(params={**_PARAMS, "force_split": 1}),
 }
 
 
