@@ -177,8 +177,11 @@ def _parse_yaml(text: str) -> tuple[list[ManifestEntry], dict]:
             header[key.strip()] = value.strip()
     try:
         data = yaml.load(text, Loader=YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ManifestError(f"invalid YAML manifest: {exc}") from exc
+    except yaml.YAMLError:
+        try:  # libyaml refuses "\udcff" escapes (non-UTF-8 file names); SafeLoader reads them
+            data = yaml.load(text, Loader=yaml.SafeLoader)
+        except yaml.YAMLError as exc:
+            raise ManifestError(f"invalid YAML manifest: {exc}") from exc
     if data is None:
         data = []
     if not isinstance(data, list):

@@ -27,9 +27,11 @@ implementations in the test suite are written against):
   the audio reaches h, the split is at h.  A remainder shorter than
   max_len is emitted as the final segment.
 
-Crediting a pause only up to the horizon is what makes every boundary
-computable from the past alone: the incremental engine can reproduce this
-scan split for split without waiting for a straddling pause to end.
+`split_until` decides each boundary in one walk over the pauses starting
+in [s, h).  Crediting a pause only up to the horizon is what makes every
+boundary computable from the past alone: the engine's still-open pause is
+the walk's last candidate, credited from its start to h, so the engine
+reproduces this scan split for split without waiting for it to end.
 
 All boundaries are plain floats produced by one arithmetic path, so
 adjacent segments share the identical value and tilings are exact.
@@ -202,45 +204,6 @@ def effective_duration(pause: Pause, horizon: float) -> float:
     return pause.duration
 
 
-def forced_boundary(
-    pauses: list[Pause], start: float, horizon: float, juncture: float
-) -> float | None:
-    """Earliest juncture split in [start, horizon), or None.
-
-    A pause qualifies if it begins inside the window and its effective
-    duration reaches the juncture threshold.
-    """
-    for i in range(bisect_left(pauses, start, key=lambda p: p.start), len(pauses)):
-        p = pauses[i]
-        if p.start >= horizon:
-            return None
-        eff = effective_duration(p, horizon)
-        if eff >= juncture:
-            return p.start + eff / 2
-    return None
-
-
-def window_boundary(
-    pauses: list[Pause], start: float, horizon: float, params: HybridParams
-) -> float:
-    """Longest-pause split inside the min/max window, else the horizon."""
-    best = None
-    best_eff = 0.0
-    for i in range(bisect_left(pauses, start, key=lambda p: p.start), len(pauses)):
-        p = pauses[i]
-        off = p.start - start
-        if off < params.min_len:
-            continue
-        if off > params.max_len or p.start >= horizon:
-            break
-        eff = effective_duration(p, horizon)
-        if eff > best_eff:
-            best, best_eff = p, eff
-    if best is None:
-        return horizon
-    return best.start + best_eff / 2
-
-
 def split_until(
     pauses: list[Pause],
     start: float,
@@ -250,25 +213,40 @@ def split_until(
 ) -> list[Segment]:
     """Every segment from `start` whose boundary the audio up to `now` settles.
 
-    `pauses` have closed by `now`.  A pause still open since `open_start`
-    counts once `now` reaches the horizon, credited up to `now`: the
-    horizon truncates it, so its final length cannot matter.
+    `pauses` have closed by `now`.  One walk per segment visits the pauses
+    starting in [s, horizon) in order: in force mode it stops at the first
+    juncture, and it keeps the longest pause of the min/max window.  Once
+    `now` reaches the horizon, a pause still open since `open_start` is its
+    last candidate, credited up to the horizon like any pause that reaches
+    it: the horizon truncates it, so its final length cannot matter.
     """
+    min_len, force = params.min_len, params.force_split
+    n = len(pauses)
     out = []
     s = start
     while True:
         horizon = s + params.max_len
-        at_horizon = now >= horizon
-        known = pauses
-        if at_horizon and open_start is not None:
-            from .vad import Pause
-
-            known = pauses + [Pause(open_start, now - open_start, now)]
-        b = forced_boundary(known, s, horizon, params.juncture) if params.force_split else None
-        if b is None:
-            if not at_horizon:
-                return out
-            b = window_boundary(known, s, horizon, params)
+        b, best_eff, settled = horizon, 0.0, now >= horizon
+        for i in range(bisect_left(pauses, s, key=lambda p: p.start), n + 1):
+            if i < n:
+                a = pauses[i].start
+                if a >= horizon:
+                    break
+                if a - s < min_len and not force:
+                    continue  # only force mode credits pauses before the window
+                eff = effective_duration(pauses[i], horizon)
+            elif settled and open_start is not None and s <= open_start < horizon:
+                a, eff = open_start, horizon - open_start  # the run reaches the horizon
+            else:
+                break
+            if force and eff >= params.juncture:
+                b, settled = a + eff / 2, True
+                break
+            # a < fl(s + max_len) gives a - s <= max_len in floats too
+            if a - s >= min_len and eff > best_eff:
+                b, best_eff = a + eff / 2, eff
+        if not settled:
+            return out
         out.append(Segment(s, b))
         s = b
 

@@ -14,12 +14,13 @@ become determined.  Determination points:
 
 Because pauses are credited only up to the horizon (see the segmenters
 module), every decision uses past frames only.  A push runs the batch
-scan (`split_until`) on the pauses seen so far only when its result can
-differ from the last scan's empty tail: when the push reaches the horizon
-s + max_len, or, in the force variant, when a pause closes on it.  On
-every other push the scan would return nothing, so it is skipped.  Push
-emissions plus the flush remainder equal the batch result -- exactly,
-not approximately.
+scan (`split_until`, one walk per segment over the closed pauses, with
+the open run as its last candidate at the horizon) only when its result
+can differ from the last scan's empty tail: when the push reaches the
+horizon s + max_len, or, in the force variant, when a pause closes on
+it.  On every other push the scan would return nothing, so it is
+skipped.  Push emissions plus the flush remainder equal the batch
+result -- exactly, not approximately.
 
 The engine holds no audio: only the VAD's floor window and hangover, the
 stream position, the open non-speech run and the pauses of the open
@@ -91,6 +92,8 @@ class StreamingSegmenter:
             raise ValueError(
                 f"out-of-order frame: expected index {self._frames_pushed}, got {frame.index}"
             )
+        if not len(frame.samples):
+            raise ValueError(f"frame {frame.index} has no samples")
 
         closed = False
         if self._vad.step(frame_energy(frame.samples)):

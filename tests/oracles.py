@@ -6,6 +6,8 @@ The arithmetic expressions (e.g. midpoint = start + effective/2) match
 the library's documented formulas so comparisons can be exact.
 """
 
+from bisect import bisect_left
+
 from pausecut import Pause, VadConfig
 from pausecut.vad import (
     COLD_START_EPS,
@@ -79,6 +81,48 @@ def ref_hybrid_force(pauses, total, params):
         out.append((s, b))
         s = b
     return out
+
+
+def ref_split_until(pauses, start, now, params, open_start=None):
+    """The settled hybrid splits as two walks per segment; (start, end) tuples.
+
+    A juncture walk (force mode) runs first, then, at the horizon, a window
+    walk.  A run still open since `open_start` joins the pauses at the
+    horizon as a pause ending at `now`.  Assumes `pauses` sorted, disjoint
+    and ending before `open_start`.
+    """
+    out = []
+    s = start
+    while True:
+        h = s + params.max_len
+        at_horizon = now >= h
+        known = pauses
+        if at_horizon and open_start is not None:
+            known = pauses + [Pause(open_start, now - open_start, now)]
+        first = bisect_left(known, s, key=lambda p: p.start)
+        b = None
+        if params.force_split:
+            for p in known[first:]:
+                if p.start >= h:
+                    break
+                if ref_effective(p, h) >= params.juncture:
+                    b = p.start + ref_effective(p, h) / 2
+                    break
+        if b is None:
+            if not at_horizon:
+                return out
+            best, best_eff = None, 0.0
+            for p in known[first:]:
+                off = p.start - s
+                if off < params.min_len:
+                    continue
+                if off > params.max_len or p.start >= h:
+                    break
+                if ref_effective(p, h) > best_eff:
+                    best, best_eff = p, ref_effective(p, h)
+            b = h if best is None else best.start + best_eff / 2
+        out.append((s, b))
+        s = b
 
 
 def ref_srpol(start: float, end: float, pauses, max_len: float):

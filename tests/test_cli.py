@@ -624,7 +624,7 @@ class TestForeignManifests:
         }
         assert 0 < score.f1 < 1
 
-    @pytest.mark.parametrize("name", ["a, b.wav", "#1.wav", "x: y.wav", "yes"])
+    @pytest.mark.parametrize("name", ["a, b.wav", "#1.wav", "x: y.wav", "yes", "\udcff.wav"])
     def test_unsafe_wav_name_survives_stats(self, tmp_path, capsys, name):
         wav = tmp_path / name
         write_wav(wav, clip_from(tone(5.0)))

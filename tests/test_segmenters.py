@@ -15,10 +15,11 @@ from pausecut import (
     segment_srpol,
     segment_vad_merge,
 )
-from pausecut.segmenters import effective_duration
+from pausecut.audio import frame_time
+from pausecut.segmenters import effective_duration, split_until
 
 from conftest import random_pauses
-from oracles import ref_hybrid, ref_hybrid_force, ref_rle_runs, ref_srpol
+from oracles import ref_hybrid, ref_hybrid_force, ref_rle_runs, ref_split_until, ref_srpol
 
 
 def assert_tiles(segments, total):
@@ -282,6 +283,28 @@ class TestHybridOracleAndInvariants:
                     host = [p for p in window if p.start <= b <= p.end]
                     assert host and effective_duration(host[0], horizon) == best_eff
 
+    def test_split_until_matches_two_walk_oracle(self, rng):
+        seen = dict.fromkeys(
+            ["open before start", "open at or past horizon", "credit == juncture",
+             "min_len == max_len", "straddles horizon"], 0
+        )
+        for _ in range(10_000):
+            pauses, start, now, params, open_start = random_split_case(rng)
+            got = spans(split_until(pauses, start, now, params, open_start))
+            assert got == ref_split_until(pauses, start, now, params, open_start)
+            h = start + params.max_len
+            opened = open_start is not None and now >= h
+            credits = [effective_duration(p, h) for p in pauses if start <= p.start < h]
+            credits += [h - open_start] if opened and start <= open_start < h else []
+            seen["open before start"] += open_start is not None and open_start < start
+            seen["open at or past horizon"] += open_start is not None and open_start >= h
+            seen["credit == juncture"] += params.force_split and params.juncture in credits
+            seen["min_len == max_len"] += params.min_len == params.max_len
+            seen["straddles horizon"] += any(p.start < h <= p.end for p in pauses) or (
+                opened and open_start < h
+            )
+        assert min(seen.values()) >= 200, seen
+
     def test_mean_lengths_on_dense_pause_corpus(self, rng):
         # dense terminal junctures: forced splitting drags the mean far
         # below the window start, the plain scan stays at or above it
@@ -297,6 +320,46 @@ class TestHybridOracleAndInvariants:
         force_mean = total / len(force_segs)
         assert PLAIN.min_len <= plain_mean <= PLAIN.max_len
         assert force_mean < FORCE.min_len
+
+
+def random_split_case(rng):
+    """`split_until` arguments as the streaming engine passes them.
+
+    Closed pauses are sorted, disjoint and end by `now`, and at least one
+    tick before a still-open run.  Times lie on a 1/32 s grid, where every
+    credit and juncture is exact, or on a 10/20/30 ms frame grid.  The
+    segment start is a grid point or the middle of a pause or of the run.
+    """
+    fm = int(rng.choice([0, 10, 20, 30]))
+    if fm:
+        jt = int(rng.integers(1, 40))  # juncture, in ticks
+        tick, juncture_ms = (lambda k: frame_time(k, fm)), jt * fm
+    else:
+        jt = int(rng.choice([4, 8, 16, 32]))
+        tick, juncture_ms = (lambda k: k / 32), jt * 1000 // 32
+    mt = int(rng.integers(2, 200))  # max_len, in ticks
+    lt = mt if rng.random() < 0.25 else int(rng.integers(1, mt + 1))
+    params = HybridParams(tick(lt), tick(mt), bool(rng.random() < 0.5), juncture_ms)
+    now_t = int(rng.integers(1, 5 * mt))
+    open_t = int(rng.integers(0, now_t)) if rng.random() < 0.7 else None
+    last = now_t if open_t is None else open_t - 1  # closed pauses end by then
+    pauses, k = [], int(rng.integers(0, mt))
+    while True:
+        d = jt if rng.random() < 0.3 else int(rng.integers(1, 3 * jt + 1))
+        if k + d > last:
+            break
+        pauses.append(Pause.from_frames(k, k + d - 1, fm) if fm else Pause.at(k / 32, d / 32))
+        k += d + int(rng.integers(1, mt // 2 + 2))
+    now = tick(now_t)
+    open_start = None if open_t is None else tick(open_t)
+    mids = [p.start + p.duration / 2 for p in pauses]
+    mids += [] if open_start is None else [open_start + (now - open_start) / 2]
+    pick = rng.random()
+    if pick < 0.4 or not mids:
+        start = tick(int(rng.integers(0, now_t + 1)))
+    else:
+        start = mids[int(rng.integers(0, len(mids)))] if pick < 0.7 else mids[-1]
+    return pauses, start, now, params, open_start
 
 
 class TestSegmentType:

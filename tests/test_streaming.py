@@ -17,7 +17,7 @@ from pausecut import (
     segment_hybrid_force,
 )
 import pausecut.streaming
-from pausecut.audio import frame_time
+from pausecut.audio import Frame, frame_time
 from pausecut.segmenters import split_until
 from pausecut.vad import Pause, frame_energy
 
@@ -136,6 +136,18 @@ class TestValidation:
         engine = StreamingSegmenter(PLAIN, CFG)
         with pytest.raises(ValueError, match="30 ms"):
             engine.push_frame(frames(clip_from(tone(0.2)), 30)[0])
+
+    def test_empty_frame_refused_without_a_trace(self):
+        engine = StreamingSegmenter(FORCE, CFG)
+        fs = frames(clip_from(tone(0.1), silence(0.1)), 20)
+        for frame in fs[:7]:
+            engine.push_frame(frame)
+        before = engine.save_state()
+        with pytest.raises(ValueError, match="^frame 7 has no samples$"):
+            engine.push_frame(Frame(np.zeros(0, np.int16), 7, 20))
+        assert engine.save_state() == before
+        engine.push_frame(fs[7])
+        assert engine.frames_pushed == 8
 
 
 class TestBatchEquivalence:
