@@ -41,6 +41,19 @@ def frame_time(index: int, frame_ms: int) -> float:
     return index * frame_ms / 1000.0
 
 
+def as_int16(samples) -> np.ndarray:
+    """`samples` as int16 PCM.  An int16 array is taken as it is (no value scan), other
+    integers once checked to fit; floats and bools, which a cast truncates, are refused."""
+    a = np.asarray(samples)
+    if a.dtype == np.int16:
+        return a
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"samples must be integer PCM, got dtype {a.dtype}")
+    if a.size and not -32768 <= a.min() <= a.max() <= 32767:
+        raise ValueError("samples must lie in the int16 range [-32768, 32767]")
+    return a.astype(np.int16)
+
+
 @dataclass
 class AudioClip:
     """Decoded mono PCM audio: int16 samples plus their sample rate."""
@@ -49,7 +62,7 @@ class AudioClip:
     sample_rate: int
 
     def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.int16)
+        self.samples = as_int16(self.samples)
         if self.samples.ndim != 1:
             raise ValueError("AudioClip is mono: samples must be one-dimensional")
         if self.sample_rate <= 0:
@@ -71,7 +84,7 @@ class Frame:
     `padding` is the number of zero samples appended to complete a
     trailing partial frame; such a frame is also flagged `final`.
     Clips whose sample count is an exact frame multiple have no
-    final-flagged frame.
+    final-flagged frame.  A frame holds at least one int16 sample.
     """
 
     samples: np.ndarray
@@ -79,6 +92,11 @@ class Frame:
     frame_ms: int
     padding: int = 0
     final: bool = field(default=False)
+
+    def __post_init__(self) -> None:
+        self.samples = as_int16(self.samples)
+        if not len(self.samples):
+            raise ValueError(f"frame {self.index} has no samples")
 
     @property
     def start_time(self) -> float:

@@ -382,12 +382,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    commands = {"segment": _cmd_segment, "stats": _cmd_stats, "compare": _cmd_compare}
     try:
-        if args.command == "segment":
-            return _cmd_segment(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        return _cmd_compare(args)
+        return commands[args.command](args)
     except CliError as exc:
         print(f"pausecut: error: {exc}", file=sys.stderr)
         return 1

@@ -64,12 +64,8 @@ def segments_to_entries(
     for seg in segments:
         start, end = seg.start, seg.end
         if clip_duration is not None:
-            if start >= clip_duration:
-                continue
             end = min(end, clip_duration)
-        if end <= start:
-            continue
-        if not seg.kept and not emit_dropped:
+        if end <= start or not (seg.kept or emit_dropped):
             continue
         entries.append(ManifestEntry(wav_name, start, end - start, dropped=not seg.kept))
     return entries
@@ -155,8 +151,7 @@ def write_manifest(
 
 def parse_manifest(text: str) -> tuple[list[ManifestEntry], dict]:
     """Parse either manifest format; returns (entries, header)."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return _parse_jsonl(text)
     return _parse_yaml(text)
 
@@ -182,11 +177,9 @@ def _parse_yaml(text: str) -> tuple[list[ManifestEntry], dict]:
             data = yaml.load(text, Loader=yaml.SafeLoader)
         except yaml.YAMLError as exc:
             raise ManifestError(f"invalid YAML manifest: {exc}") from exc
-    if data is None:
-        data = []
-    if not isinstance(data, list):
+    if data is not None and not isinstance(data, list):
         raise ManifestError("manifest must be a list of records")
-    return [_entry_from_record(r) for r in data], header
+    return [_entry_from_record(r) for r in data or []], header
 
 
 def _parse_jsonl(text: str) -> tuple[list[ManifestEntry], dict]:

@@ -108,13 +108,9 @@ def _fmt(value: float | None, pattern: str = "{:.2f}") -> str:
 
 def stats_rows(stats: SegStats) -> list[tuple[str, str]]:
     """(label, value) pairs with the two-decimal display convention."""
-    return [
-        (STATS_ROW_LABELS[0], _fmt(stats.pct_filtered)),
-        (STATS_ROW_LABELS[1], f"{stats.num_segments:,}"),
-        (STATS_ROW_LABELS[2], _fmt(stats.max_len)),
-        (STATS_ROW_LABELS[3], _fmt(stats.min_len)),
-        (STATS_ROW_LABELS[4], _fmt(stats.avg_len)),
-    ]
+    values = (_fmt(stats.pct_filtered), f"{stats.num_segments:,}",
+              _fmt(stats.max_len), _fmt(stats.min_len), _fmt(stats.avg_len))
+    return list(zip(STATS_ROW_LABELS, values))
 
 
 def format_stats_table(columns: dict[str, SegStats]) -> str:

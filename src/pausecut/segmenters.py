@@ -4,8 +4,8 @@
 * vad_merge    -- maximal speech runs become kept segments, non-speech runs
                   become dropped ones; the only strategy that discards audio.
 * srpol        -- recursive bisection at the longest silence until a piece is
-                  shorter than the threshold or contains no silence; needs the
-                  whole recording up front.
+                  shorter than the threshold or holds no silence, computed
+                  longest pause first; needs the whole recording up front.
 * hybrid       -- left-to-right scan: split on the longest pause whose start
                   falls `min_len`..`max_len` after the segment start, else at
                   `max_len`.  The forced variant additionally splits at the
@@ -39,7 +39,7 @@ adjacent segments share the identical value and tilings are exact.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -140,34 +140,25 @@ def segment_vad_merge(track: FrameLabelTrack) -> list[Segment]:
 
 
 def segment_srpol(span: Segment, pauses: list[Pause], params: SrpolParams) -> list[Segment]:
-    """Recursive longest-silence bisection of `span`.
+    """Recursive longest-silence bisection of `span`, computed in cut order.
 
-    Stops when a piece is shorter than `max_len` or contains no pause, so
-    pieces longer than max_len can survive -- exactly when they hold no
-    silence at all.  Requires the complete pause inventory of the span:
-    this strategy cannot run on a stream.
-
-    The pause hosting a split is consumed: its two halves border the cut
-    and are not offered to the sub-spans (splitting inside them again
-    would produce degenerate slivers).
+    Stops when a piece is shorter than `max_len` or holds no pause, so a
+    piece outlives max_len exactly when it holds no silence.  Needs the
+    whole pause inventory: this strategy cannot run on a stream.  A split
+    consumes its pause.  Visited longest first, earliest on ties, each pause
+    lies between the cuts of exactly its recursion ancestors: every longer or
+    earlier equal pause has cut already, and a piece under max_len never grows.
     """
     _check_sorted(pauses)
-    for p in pauses:
-        if p.start < span.start or p.end > span.end:
-            raise ValueError(f"pause [{p.start}, {p.end}) outside span")
-    return _srpol_rec(span, pauses, params.max_len)
-
-
-def _srpol_rec(span: Segment, pauses: list[Pause], max_len: float) -> list[Segment]:
-    if span.duration < max_len or not pauses:
-        return [span]
-    longest = max(pauses, key=lambda p: (p.duration, -p.start))
-    mid = longest.start + longest.duration / 2
-    left = [p for p in pauses if p.end <= mid]
-    right = [p for p in pauses if p.start >= mid]
-    return _srpol_rec(Segment(span.start, mid), left, max_len) + _srpol_rec(
-        Segment(mid, span.end), right, max_len
-    )
+    if pauses and (pauses[0].start < span.start or pauses[-1].end > span.end):
+        raise ValueError(f"pauses [{pauses[0].start}, {pauses[-1].end}) outside span")
+    cuts = [span.start, span.end]
+    for p in sorted(pauses, key=lambda p: p.duration, reverse=True):  # stable: earliest first
+        i = bisect_right(cuts, p.start)
+        mid = p.start + p.duration / 2
+        if cuts[i] - cuts[i - 1] >= params.max_len and cuts[i - 1] < mid < cuts[i]:
+            cuts.insert(i, mid)
+    return [Segment(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def segment_hybrid(pauses: list[Pause], total_duration: float, params: HybridParams) -> list[Segment]:

@@ -92,8 +92,6 @@ class StreamingSegmenter:
             raise ValueError(
                 f"out-of-order frame: expected index {self._frames_pushed}, got {frame.index}"
             )
-        if not len(frame.samples):
-            raise ValueError(f"frame {frame.index} has no samples")
 
         closed = False
         if self._vad.step(frame_energy(frame.samples)):

@@ -32,13 +32,14 @@ FLOOR_CHUNK x FLOOR_WINDOW energies, never an int64 copy of the samples.
 from __future__ import annotations
 
 import bisect
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioClip, frame_time, num_frames, samples_per_frame
+from .audio import AudioClip, as_int16, frame_time, num_frames, samples_per_frame
 
 MULTIPLIERS = (2.0, 3.5, 5.0, 8.0)
 HANGOVER_FRAMES = (8, 6, 4, 2)
@@ -141,12 +142,15 @@ class Pause:
         """Synthetic pause, not tied to a frame grid."""
         if duration <= 0:
             raise ValueError("pause duration must be positive")
-        return cls(start=start, duration=duration, end=start + duration)
+        end = start + duration
+        if not start < end < math.inf:  # a nan or inf end fails too
+            raise ValueError(f"pause [{start}, {end}) must be finite and end after its start")
+        return cls(start=start, duration=duration, end=end)
 
 
 def frame_energy(samples: np.ndarray) -> float:
     """Mean squared amplitude of one frame (zero padding counts)."""
-    s = np.asarray(samples, dtype=np.int64)
+    s = as_int16(samples).astype(np.int64)
     return int(np.dot(s, s)) / len(s)
 
 

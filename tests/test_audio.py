@@ -18,7 +18,7 @@ from pausecut import (
     read_wav,
     write_wav,
 )
-from pausecut.audio import frame_time, read_pcm16, samples_per_frame
+from pausecut.audio import Frame, frame_time, read_pcm16, samples_per_frame
 
 from conftest import clip_from, talk_clip, tone
 
@@ -280,3 +280,25 @@ class TestAudioClip:
     def test_duration_zero_iff_empty(self):
         assert AudioClip(np.zeros(0, dtype=np.int16), 16000).duration == 0.0
         assert AudioClip(np.zeros(1, dtype=np.int16), 16000).duration > 0.0
+
+    @pytest.mark.parametrize("samples", [np.full(10, 0.9), np.full(10, 0.9, np.float32),
+                                         np.ones(10, bool)], ids=["float64", "float32", "bool"])
+    def test_non_integer_samples_refused(self, samples):
+        with pytest.raises(ValueError, match="integer PCM"):
+            AudioClip(samples, 16000)
+        with pytest.raises(ValueError, match="integer PCM"):
+            Frame(samples, 0, 20)
+
+    @pytest.mark.parametrize("value", [40000, -32769, 2**40])
+    def test_integers_outside_int16_refused(self, value):
+        with pytest.raises(ValueError, match="int16 range"):
+            AudioClip(np.full(10, value), 16000)
+        with pytest.raises(ValueError, match="int16 range"):
+            Frame(np.full(320, value), 0, 20)
+
+    def test_int16_taken_as_is_and_wider_integers_converted(self):
+        samples = np.arange(-5, 5, dtype=np.int16)
+        assert AudioClip(samples, 16000).samples is samples
+        assert Frame(samples, 0, 20).samples is samples
+        wide = AudioClip(np.array([-32768, 0, 32767], np.int64), 16000).samples
+        assert wide.dtype == np.int16 and wide.tolist() == [-32768, 0, 32767]

@@ -56,6 +56,21 @@ class TestSegment:
         assert code == 1
         assert "strategy requires full audio" in capsys.readouterr().err
 
+    def test_srpol_on_a_thousand_equal_pauses(self, tmp_path):
+        # 1,100 periods of 0.2 s tone and 0.1 s silence give equal pauses,
+        # which a recursive split would peel off one nesting level each.
+        period = np.concatenate([tone(0.2, 8000), silence(0.1, 8000)])
+        path = tmp_path / "regular.wav"
+        write_wav(path, clip_from(*[period] * 1100, rate=8000))
+        out = tmp_path / "srpol.yaml"
+        code = run([
+            "segment", "--strategy", "srpol", "--frame-ms", "10", "--max-len", "0.25",
+            "-o", out, path,
+        ])
+        assert code == 0
+        entries, _ = read_manifest(out)
+        assert len(entries) >= 1000
+
     def test_streaming_rejected_for_fixed(self, talk_wav, capsys):
         code = run(["segment", "--strategy", "fixed", "--streaming", talk_wav])
         assert code == 1

@@ -152,6 +152,83 @@ class TestSrpol:
                     inside = [p for p in pauses if p.start >= s.start and p.end <= s.end]
                     assert inside == []
 
+    def test_frame_grid_ties_match_recursive_oracle(self, rng):
+        """Few distinct pause lengths, so ties decide most splits, and
+        pauses that touch the span's start or end."""
+        touch_start = touch_end = tied_splits = 0
+        for _ in range(5000):
+            frame_ms = int(rng.choice([10, 20, 30]))
+            n = int(rng.integers(0, 40))
+            lengths = rng.choice(rng.integers(1, 25, size=int(rng.integers(1, 4))), size=n)
+            gaps = rng.integers(1, 60, size=n + 1)  # speech frames around the pauses
+            if n and rng.random() < 0.5:
+                gaps[0] = 0  # a pause at the span start
+            if n and rng.random() < 0.5:
+                gaps[-1] = 0  # a pause at the span end
+            pauses, i = [], 0
+            for gap, length in zip(gaps.tolist(), lengths.tolist()):
+                pauses.append(Pause.from_frames(i + gap, i + gap + length - 1, frame_ms))
+                i += gap + length
+            total = frame_time(i + int(gaps[-1]), frame_ms)
+            if rng.random() < 0.5:  # a max_len that some piece meets exactly
+                max_len = frame_time(int(rng.integers(1, 300)), frame_ms)
+            else:
+                max_len = float(rng.uniform(0.05, 30.0))
+            got = spans(segment_srpol(Segment(0.0, total), pauses, SrpolParams(max_len)))
+            assert got == ref_srpol(0.0, total, pauses, max_len)
+            touch_start += bool(pauses) and pauses[0].start == 0.0
+            touch_end += bool(pauses) and pauses[-1].end == total
+            cut_lengths = [p.duration for p in pauses if p.start + p.duration / 2 in {a for a, _ in got}]
+            tied_splits += len(cut_lengths) > len(set(cut_lengths))
+        assert min(touch_start, touch_end, tied_splits) >= 1000
+
+    def test_equal_pauses_split_without_recursion(self):
+        # Equal pauses split earliest first, so a recursion would nest one
+        # level per pause; the cut-order pass handles any number.
+        n = 5000
+        pauses = [Pause.from_frames(50 * k + 40, 50 * k + 49, 20) for k in range(n)]
+        got = segment_srpol(Segment(0.0, float(n)), pauses, SrpolParams(0.5))
+        assert len(got) == n + 1
+        assert [s.end for s in got[:-1]] == [p.start + p.duration / 2 for p in pauses]
+        assert_tiles(got, float(n))
+
+    def test_pause_whose_midpoint_rounds_to_its_start(self):
+        # start + ulp/2 rounds back to start: the split lands on the pause's
+        # start, and the pause is not offered again to the piece after it.
+        start = 12345.678
+        pause = Pause.at(start, math.ulp(start))
+        assert pause.start + pause.duration / 2 == start
+        got = segment_srpol(Segment(0.0, 2 * start), [pause], SrpolParams(20.0))
+        assert spans(got) == [(0.0, start), (start, 2 * start)]
+
+    def test_sub_ulp_pauses_agree_wherever_the_recursion_returns(self, rng):
+        """Pauses a few ulps long, whose midpoint may round onto an end.
+
+        There the recursion offers the split pause again, so it builds an
+        empty piece or never ends; the cut order still tiles the span.
+        Everywhere else the two agree exactly."""
+        agreed = diverged = 0
+        for _ in range(1000):
+            total = float(rng.uniform(1e3, 1e5))
+            starts = sorted(set(rng.uniform(0.0, total * 0.99, size=int(rng.integers(1, 8))).tolist()))
+            if rng.random() < 0.2:
+                starts[0] = 0.0
+            pauses = [Pause.at(a, math.ulp(a) * int(rng.integers(1, 4))) for a in starts]
+            max_len = float(rng.uniform(1.0, total / 2))
+            got = spans(segment_srpol(Segment(0.0, total), pauses, SrpolParams(max_len)))
+            try:
+                want = ref_srpol(0.0, total, pauses, max_len)
+            except RecursionError:
+                want = None
+            if want is not None and all(a < b for a, b in want):
+                assert got == want
+                agreed += 1
+            else:
+                assert got[0][0] == 0.0 and got[-1][1] == total
+                assert all(a < b for a, b in got) and all(x[1] == y[0] for x, y in zip(got, got[1:]))
+                diverged += 1
+        assert min(agreed, diverged) >= 200
+
 
 class TestHybrid:
     def test_window_scan(self):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -117,6 +118,10 @@ class TestEnergies:
 
         singles = [frame_energy(f.samples) for f in frames(clip, 20)]
         assert singles == batch.tolist()
+
+    def test_float_frame_refused(self):
+        with pytest.raises(ValueError, match="integer PCM"):
+            frame_energy(np.full(320, 0.9))
 
     def test_overflow_safe(self):
         loud = np.full(480, -32768, dtype=np.int16)
@@ -259,3 +264,17 @@ class TestTypes:
             Pause.at(1.0, 0.0)
         with pytest.raises(ValueError):
             Pause.from_frames(3, 2, 20)
+
+    @pytest.mark.parametrize("start, duration", [(0.0, float("nan")), (float("nan"), 1.0),
+                                                 (float("inf"), 1.0), (0.0, float("inf"))])
+    def test_pause_at_refuses_non_finite(self, start, duration):
+        with pytest.raises(ValueError, match="must be finite"):
+            Pause.at(start, duration)
+
+    def test_pause_at_refuses_a_duration_that_cannot_move_start(self):
+        with pytest.raises(ValueError, match="end after its start"):
+            Pause.at(1e6, 1e-20)
+        with pytest.raises(ValueError, match="must be positive"):
+            Pause.at(1.0, -0.5)
+        p = Pause.at(1e6, math.ulp(1e6))
+        assert p.start < p.end
