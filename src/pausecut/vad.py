@@ -25,8 +25,14 @@ The rules have two implementations that give bit-identical labels:
 :meth:`EnergyVad.step`, a per-frame automaton that the streaming engine
 drives, and batch :func:`classify`, which applies them to a whole clip
 with array operations.  Batch memory is bounded: beyond the clip itself
-it holds a few arrays of one value per frame and one partition chunk of
-FLOOR_CHUNK x FLOOR_WINDOW energies, never an int64 copy of the samples.
+it holds a few arrays of one value per frame and the ranks of one chunk
+of FLOOR_CHUNK windows, never an int64 copy of the samples.  Its floors
+follow van Herk's and Gil & Werman's block filter, widened from the
+minimum to the _FLOOR_LO + 2 smallest values: a window is one block's
+suffix joined with the next block's prefix, one sorted-insertion sweep
+ranks every suffix and prefix, and two ranked lists merge to their m-th
+smallest as min over i + j = m of max(A_i, B_j).  Ranks are selected,
+never computed, so the floors equal those of a sorted window.
 """
 
 from __future__ import annotations
@@ -35,9 +41,9 @@ import bisect
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioClip, as_int16, frame_time, num_frames, samples_per_frame
 
@@ -54,9 +60,10 @@ COLD_START_EPS = 1.0
 _FLOOR_POS = FLOOR_QUANTILE * (FLOOR_WINDOW - 1)
 _FLOOR_LO = int(_FLOOR_POS)
 _FLOOR_FRAC = _FLOOR_POS - _FLOOR_LO
-# Windows per np.partition call in batch classify: its copy is
-# FLOOR_CHUNK x FLOOR_WINDOW float64 (3.3 MB) whatever the clip length.
-FLOOR_CHUNK = 4096
+# Windows per chunk of batch floors, a whole number of blocks: a chunk's
+# ranks take about 3.4 MB whatever the clip length.  Fewer, larger chunks
+# make fewer numpy calls, which --jobs threads contend for under the GIL.
+FLOOR_CHUNK = 128 * FLOOR_WINDOW
 
 
 @dataclass(frozen=True)
@@ -126,6 +133,12 @@ class Pause:
     end: float
     frame_span: tuple[int, int] | None = None
 
+    def __post_init__(self) -> None:
+        if self.duration <= 0:
+            raise ValueError("pause duration must be positive")
+        if not (-math.inf < self.start < self.end < math.inf and self.duration < math.inf):
+            raise ValueError(f"pause [{self.start}, {self.end}) must be finite and end after its start")
+
     @classmethod
     def from_frames(cls, first: int, last: int, frame_ms: int) -> "Pause":
         if last < first:
@@ -140,12 +153,7 @@ class Pause:
     @classmethod
     def at(cls, start: float, duration: float) -> "Pause":
         """Synthetic pause, not tied to a frame grid."""
-        if duration <= 0:
-            raise ValueError("pause duration must be positive")
-        end = start + duration
-        if not start < end < math.inf:  # a nan or inf end fails too
-            raise ValueError(f"pause [{start}, {end}) must be finite and end after its start")
-        return cls(start=start, duration=duration, end=end)
+        return cls(start=start, duration=duration, end=start + duration)
 
 
 def frame_energy(samples: np.ndarray) -> float:
@@ -219,13 +227,34 @@ def _noise_floors(energies: np.ndarray) -> np.ndarray:
     floors = np.empty_like(energies)
     cold = min(len(energies), FLOOR_WINDOW - 1)
     floors[:cold] = np.minimum.accumulate(energies[:cold]) + COLD_START_EPS
-    if len(energies) >= FLOOR_WINDOW:
-        windows = sliding_window_view(energies, FLOOR_WINDOW)  # row i ends at frame cold + i
-        for i in range(0, len(windows), FLOOR_CHUNK):
-            ranked = np.partition(windows[i : i + FLOOR_CHUNK], (_FLOOR_LO, _FLOOR_LO + 1), axis=1)
-            a, b = ranked[:, _FLOOR_LO], ranked[:, _FLOOR_LO + 1]
-            floors[cold + i : cold + i + len(ranked)] = a + (b - a) * _FLOOR_FRAC
-    return np.clip(floors, FLOOR_MIN, FLOOR_MAX)
+    n_windows = len(energies) - FLOOR_WINDOW + 1  # window j ends at frame cold + j
+    for j in range(0, max(n_windows, 0), FLOOR_CHUNK):
+        n = min(FLOOR_CHUNK, n_windows - j)
+        floors[cold + j : cold + j + n] = _window_floors(energies[j : j + n + FLOOR_WINDOW - 1])
+    return np.clip(floors, FLOOR_MIN, FLOOR_MAX, out=floors)
+
+
+def _window_floors(energies: np.ndarray) -> np.ndarray:
+    """The unclamped floor of each FLOOR_WINDOW-wide window of `energies`."""
+    n = len(energies) - FLOOR_WINDOW + 1
+    nb = -(-n // FLOOR_WINDOW)  # blocks holding a window start, then one spare block
+    pad = (nb + 1) * FLOOR_WINDOW - len(energies)
+    blocks = np.pad(energies, (0, pad), constant_values=np.inf).reshape(nb + 1, FLOOR_WINDOW)
+    columns = np.concatenate((blocks[:-1, ::-1], blocks[1:])).T  # reversed blocks, then the next
+    # runs[t, k, c]: k-th smallest (1-based) of columns[:t, c], +inf if t < k; runs[:, 0] = -inf.
+    # Step-major, so each insertion reads and writes one contiguous slab.
+    runs = np.full((FLOOR_WINDOW + 1, _FLOOR_LO + 3, 2 * nb), np.inf)
+    runs[:, 0] = -np.inf
+    for t, column in enumerate(columns):  # sorted insertion of one value into every run
+        np.minimum(runs[t, 1:], np.maximum(runs[t, :-1], column), out=runs[t + 1, 1:])
+    suffix, prefix = runs[:0:-1, :, :nb], runs[:-1, :, nb:]  # [r, k, b]: blk[b, r:], blk[b + 1, :r]
+    a, b = (_merged_rank(suffix, prefix, m).T.ravel()[:n] for m in (_FLOOR_LO + 1, _FLOOR_LO + 2))
+    return a + (b - a) * _FLOOR_FRAC
+
+
+def _merged_rank(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """m-th smallest (1-based) of two lists sorted along axis 1, each with -inf at index 0."""
+    return reduce(np.minimum, (np.maximum(x[:, i], y[:, m - i]) for i in range(m + 1)))
 
 
 def classify(clip: AudioClip, config: VadConfig) -> FrameLabelTrack:

@@ -8,6 +8,9 @@ the library's documented formulas so comparisons can be exact.
 
 from bisect import bisect_left
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from pausecut import Pause, VadConfig
 from pausecut.vad import (
     COLD_START_EPS,
@@ -185,6 +188,18 @@ def ref_optimal_boundary_hits(hyp, ref, tolerance: float) -> int:
         return score
 
     return best(0, 0)
+
+
+def ref_noise_floors(energies: np.ndarray) -> np.ndarray:
+    """The clamped floor at each frame, from fully sorted windows."""
+    floors = np.minimum.accumulate(energies) + COLD_START_EPS  # cold start
+    if len(energies) >= FLOOR_WINDOW:
+        ranked = np.sort(sliding_window_view(energies, FLOOR_WINDOW), axis=1)
+        pos = FLOOR_QUANTILE * (FLOOR_WINDOW - 1)
+        lo = int(pos)
+        frac = pos - lo
+        floors[FLOOR_WINDOW - 1 :] = ranked[:, lo] + (ranked[:, lo + 1] - ranked[:, lo]) * frac
+    return np.minimum(np.maximum(floors, FLOOR_MIN), FLOOR_MAX)
 
 
 def ref_vad_labels(energies, config: VadConfig) -> list[bool]:

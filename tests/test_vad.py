@@ -6,16 +6,28 @@ import pytest
 
 from pausecut import AudioClip, FrameLabelTrack, Pause, VadConfig, classify, detect_pauses
 from pausecut.audio import iter_frames
-from pausecut.vad import FLOOR_CHUNK, FLOOR_WINDOW, EnergyVad, frame_energies, frame_energy
+from pausecut.vad import (
+    FLOOR_CHUNK,
+    FLOOR_MAX,
+    FLOOR_MIN,
+    FLOOR_WINDOW,
+    EnergyVad,
+    _noise_floors,
+    frame_energies,
+    frame_energy,
+)
 
 from conftest import clip_from, noisy_clip, silence, speechy_clip, talk_clip, tone
-from oracles import ref_pause_runs, ref_vad_labels
+from oracles import ref_noise_floors, ref_pause_runs, ref_vad_labels
 
 # Frame counts where batch classify changes regime: the cold start ends
 # after FLOOR_WINDOW - 1 frames, and each FLOOR_CHUNK windows after that
-# start a new partition chunk.
+# start a new chunk.  Around MID_CHUNK (the chunk edge when chunks were
+# 4096 windows) the last window starts mid-block, inside the first chunk.
 CHUNK_EDGE = FLOOR_WINDOW - 1 + FLOOR_CHUNK
-EDGE_FRAMES = [0, 1, 98, 99, 100, 101, CHUNK_EDGE - 1, CHUNK_EDGE, CHUNK_EDGE + 1]
+MID_CHUNK = FLOOR_WINDOW - 1 + 4096
+EDGE_FRAMES = [0, 1, 98, 99, 100, 101, MID_CHUNK - 1, MID_CHUNK, MID_CHUNK + 1,
+               CHUNK_EDGE - 1, CHUNK_EDGE, CHUNK_EDGE + 1]
 RATE_FRAME = [(8000, 10), (16000, 20), (48000, 30)]
 
 
@@ -88,7 +100,7 @@ class TestClassify:
             assert got == ref_vad_labels(energies.tolist(), cfg)
             assert got == step_labels(energies.tolist(), cfg)
 
-    @pytest.mark.parametrize("n_frames", [0, 1, 99, 100, CHUNK_EDGE + 1])
+    @pytest.mark.parametrize("n_frames", [0, 1, 99, 100, MID_CHUNK + 1, CHUNK_EDGE + 1])
     def test_all_zero_is_nonspeech_at_any_length(self, n_frames):
         clip = AudioClip(np.zeros(n_frames * 320, dtype=np.int16), 16000)
         for mode in range(4):
@@ -108,6 +120,54 @@ class TestClassify:
         clip = AudioClip(np.zeros(441, dtype=np.int16), 22050)
         with pytest.raises(ValueError, match="incompatible rate/frame"):
             classify(clip, VadConfig(2, 10))
+
+
+def random_energies(rng, n: int, kind: int) -> np.ndarray:
+    """Integer-valued ties, a wide range across both clamps, a constant, or a noise floor."""
+    if kind == 0:
+        return rng.integers(0, int(rng.integers(1, 6)), n).astype(float) * float(rng.choice([1.0, 3.0, 1e6]))
+    if kind == 1:
+        return 10.0 ** rng.uniform(-3.0, 15.0, n)
+    if kind == 2:
+        return np.full(n, float(rng.choice([0.0, 0.5, 7.25, FLOOR_MAX, 1e9])))
+    return rng.exponential(float(rng.choice([0.5, 100.0, 1e6])), n)
+
+
+def assert_floors_bit_identical(energies: np.ndarray) -> None:
+    got, want = _noise_floors(energies), ref_noise_floors(energies)
+    assert got.dtype == np.float64 and len(got) == len(energies)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestNoiseFloors:
+    def test_bit_identical_to_sorted_windows_on_random_energies(self, rng):
+        for i in range(3000):
+            assert_floors_bit_identical(random_energies(rng, int(rng.integers(0, 701)), i % 4))
+
+    @pytest.mark.parametrize("n_frames", [99, 100, 101, 2 * FLOOR_WINDOW, FLOOR_CHUNK + 98, FLOOR_CHUNK + 99,
+                                          FLOOR_CHUNK + 100, 3 * FLOOR_CHUNK + FLOOR_WINDOW - 1,
+                                          2 * FLOOR_CHUNK + FLOOR_WINDOW + 50])
+    @pytest.mark.parametrize("kind", range(4))
+    def test_bit_identical_at_block_and_chunk_edges(self, rng, n_frames, kind):
+        assert_floors_bit_identical(random_energies(rng, n_frames, kind))
+
+    def test_clamps_both_ways(self, rng):
+        quiet, loud = rng.uniform(0.0, 0.9, 300), rng.uniform(2 * FLOOR_MAX, 4 * FLOOR_MAX, 300)
+        energies = np.concatenate((quiet, loud, quiet))
+        floors = _noise_floors(energies)
+        assert (floors == FLOOR_MIN).any() and (floors == FLOOR_MAX).any()
+        assert_floors_bit_identical(energies)
+
+    def test_memory_does_not_grow_with_the_clip(self, rng):
+        for n in (30_000, 300_000):
+            energies = rng.uniform(0.0, 1e6, n)
+            tracemalloc.start()
+            try:
+                _noise_floors(energies)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - energies.nbytes < 5_000_000  # one per-frame output, then a fixed bound
 
 
 class TestEnergies:
@@ -270,6 +330,17 @@ class TestTypes:
     def test_pause_at_refuses_non_finite(self, start, duration):
         with pytest.raises(ValueError, match="must be finite"):
             Pause.at(start, duration)
+
+    @pytest.mark.parametrize("start, duration, end", [(1.0, 0.0, 1.0), (0.5, 0.0, 0.5), (0.5, -1.0, 0.2),
+                                                      (float("nan"), 1.0, float("nan")),
+                                                      (0.0, float("nan"), 1.0), (2.0, 1.0, 1.0),
+                                                      (float("-inf"), 1.0, 0.0), (0.0, 1.0, float("inf"))],
+                             ids=["empty", "empty-mid", "inverted", "nan", "nan-duration", "end-before-start",
+                                  "minus-inf-start", "inf-end"])
+    def test_pause_refuses_a_span_that_is_not_finite_and_forward(self, start, duration, end):
+        # Let through, the first four make srpol raise IndexError or hybrid cut inside a pause.
+        with pytest.raises(ValueError, match="must be positive|must be finite and end after its start"):
+            Pause(start, duration, end)
 
     def test_pause_at_refuses_a_duration_that_cannot_move_start(self):
         with pytest.raises(ValueError, match="end after its start"):
