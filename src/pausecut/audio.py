@@ -140,11 +140,6 @@ def iter_frames(clip: AudioClip, frame_ms: int) -> Iterator[Frame]:
         yield Frame(padded, n_full, frame_ms, padding=spf - rem, final=True)
 
 
-def num_frames(clip: AudioClip, frame_ms: int) -> int:
-    spf = samples_per_frame(clip.sample_rate, frame_ms)
-    return -(-len(clip.samples) // spf)
-
-
 # -- WAV container ----------------------------------------------------------
 
 _PCM_FORMAT_CODE = 1

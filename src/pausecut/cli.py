@@ -104,7 +104,7 @@ def _load_config_file(path: str, keys: list[str]) -> dict:
     """
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -117,7 +117,7 @@ def _load_config_file(path: str, keys: list[str]) -> dict:
                     raise CliError(f"{path}:{lineno}: unknown option {key!r}")
                 if key in keys:
                     values[key] = _coerce(key, value.strip().strip("\"'"), f"{path}:{lineno}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -307,7 +307,7 @@ def _for_manifest(path: str, fn, *args):
 
     try:
         return fn(*args)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # UTF-8 text only
         raise CliError(f"cannot read {path}: {exc}") from exc
     except ManifestError as exc:
         raise CliError(f"malformed manifest {path}: {exc}") from exc

@@ -13,10 +13,10 @@ byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 import yaml
@@ -135,12 +135,14 @@ def _render_jsonl(entries: list[ManifestEntry], header: dict) -> str:
 def write_manifest(
     path, entries: list[ManifestEntry], header: dict | None = None, fmt: str = YAML_FORMAT
 ) -> None:
-    """Atomic write: render to a temp file, then rename over `path`."""
+    """Atomic write: render UTF-8 to a temp file, then rename over `path`."""
     text = render_manifest(entries, header, fmt)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".manifest-")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".manifest-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as open()
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            with contextlib.suppress(FileNotFoundError):  # a replaced file keeps its mode
+                os.fchmod(fd, os.stat(path).st_mode & 0o7777)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -157,7 +159,7 @@ def parse_manifest(text: str) -> tuple[list[ManifestEntry], dict]:
 
 
 def read_manifest(path) -> tuple[list[ManifestEntry], dict]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_manifest(fh.read())
 
 
@@ -185,7 +187,7 @@ def _parse_yaml(text: str) -> tuple[list[ManifestEntry], dict]:
 def _parse_jsonl(text: str) -> tuple[list[ManifestEntry], dict]:
     entries = []
     header: dict = {}
-    for i, line in enumerate(text.splitlines()):
+    for i, line in enumerate(text.split("\n")):  # JSON strings may hold U+0085, U+2028
         if not line.strip():
             continue
         try:

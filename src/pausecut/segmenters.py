@@ -1,6 +1,7 @@
 """The four segmentation strategies behind one segment vocabulary.
 
-* fixed        -- cut every `length` seconds, content-blind, keeps everything.
+* fixed        -- cut every `length` seconds, content-blind, keeps everything;
+                  the hybrid walk over no pauses with min_len == max_len.
 * vad_merge    -- maximal speech runs become kept segments, non-speech runs
                   become dropped ones; the only strategy that discards audio.
 * srpol        -- recursive bisection at the longest silence until a piece is
@@ -39,6 +40,7 @@ adjacent segments share the identical value and tilings are exact.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -98,27 +100,11 @@ class SrpolParams:
 
 
 def segment_fixed(total_duration: float, length: float) -> list[Segment]:
-    """Tile [0, total_duration) with `length`-second segments.
-
-    The final segment ends exactly at total_duration and may be shorter.
-    Boundaries accumulate (b + length) so each segment end is the next
-    segment's start by identity, and no segment outlives its bound.
-    """
-    if total_duration < 0:
-        raise ValueError("total_duration must be >= 0")
+    """Tile [0, total_duration) with `length`-second segments, the last ending
+    at total_duration: with no pause, every split is the horizon s + length."""
     if length <= 0:
         raise ValueError("length must be positive")
-    out = []
-    b = 0.0
-    while True:
-        nxt = b + length
-        if nxt >= total_duration:
-            break
-        out.append(Segment(b, nxt))
-        b = nxt
-    if total_duration > b:
-        out.append(Segment(b, total_duration))
-    return out
+    return split_to_end([], 0.0, total_duration, HybridParams(length, length))
 
 
 def segment_vad_merge(track: FrameLabelTrack) -> list[Segment]:
@@ -245,7 +231,11 @@ def split_until(
 def split_to_end(
     pauses: list[Pause], start: float, end: float, params: HybridParams
 ) -> list[Segment]:
-    """Tile [start, end) with the settled splits plus the remainder segment."""
+    """Tile [start, end) with the settled splits plus the remainder segment.
+
+    The one check of the span for fixed, both hybrids and the engine's flush."""
+    if not 0 <= start <= end < math.inf:  # nan too: a walk to inf never ends
+        raise ValueError(f"need 0 <= start <= end < inf, got [{start}, {end})")
     out = split_until(pauses, start, end, params)
     s = out[-1].end if out else start
     if end > s:

@@ -45,7 +45,7 @@ from functools import reduce
 
 import numpy as np
 
-from .audio import AudioClip, as_int16, frame_time, num_frames, samples_per_frame
+from .audio import SUPPORTED_FRAME_MS, AudioClip, as_int16, frame_time, samples_per_frame
 
 MULTIPLIERS = (2.0, 3.5, 5.0, 8.0)
 HANGOVER_FRAMES = (8, 6, 4, 2)
@@ -74,9 +74,9 @@ class VadConfig:
     frame_ms: int = 20
 
     def __post_init__(self) -> None:
-        if not 0 <= self.aggressiveness <= 3:
+        if not 0 <= self.aggressiveness < len(MULTIPLIERS):
             raise ValueError(f"aggressiveness must be in [0, 3], got {self.aggressiveness}")
-        if self.frame_ms not in (10, 20, 30):
+        if self.frame_ms not in SUPPORTED_FRAME_MS:
             raise ValueError(f"frame_ms must be 10, 20 or 30, got {self.frame_ms}")
 
     @property
@@ -171,7 +171,7 @@ def frame_energies(clip: AudioClip, frame_ms: int) -> np.ndarray:
     """
     spf = samples_per_frame(clip.sample_rate, frame_ms)
     full = len(clip.samples) // spf
-    sums = np.empty(num_frames(clip, frame_ms), dtype=np.int64)
+    sums = np.empty(-(-len(clip.samples) // spf), dtype=np.int64)
     whole = clip.samples[: full * spf].reshape(full, spf)
     sums[:full] = np.einsum("ij,ij->i", whole, whole, dtype=np.int64)
     if len(sums) > full:

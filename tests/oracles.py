@@ -25,6 +25,17 @@ def ref_effective(p: Pause, horizon: float) -> float:
     return (horizon - p.start) if p.end >= horizon else p.duration
 
 
+def ref_fixed(total, length):
+    """Running-sum tiling: cut at 0 + L, then + L again, until the total."""
+    out, b = [], 0.0
+    while b + length < total:
+        out.append((b, b + length))
+        b += length
+    if total > b:
+        out.append((b, total))
+    return out
+
+
 def ref_hybrid(pauses, total, params):
     """Reference pause-in-window scan; returns (start, end) tuples."""
     out = []

@@ -672,6 +672,54 @@ class TestEntryPoints:
         assert "segment" in proc.stdout and "compare" in proc.stdout
 
 
+class TestTextEncoding:
+    def test_no_text_file_takes_the_locale_encoding(self, tmp_path):
+        # -X warn_default_encoding warns at every text open that leaves the
+        # encoding to the locale; -W error makes each such open fail
+        import subprocess
+        import sys
+
+        import pausecut
+
+        wav = tmp_path / "caf\u00e9 \u8a00.wav"
+        write_wav(wav, clip_from(tone(3.0), silence(0.6), tone(3.0)))
+        cfg = tmp_path / "run.conf"
+        cfg.write_bytes("\ufeff# r\u00e9glage\nstrategy = fixed\nlength = 2\n".encode("utf-8"))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pausecut.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def pausecut_cli(*argv):
+            proc = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                 "-m", "pausecut", *map(str, argv)],
+                capture_output=True, encoding="utf-8", env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+
+        for fmt in ("yaml", "jsonl"):
+            out = tmp_path / f"m.{fmt}"
+            pausecut_cli("segment", "--config", cfg, "--format", fmt, "-o", out, wav)
+            assert {e.wav for e in read_manifest(out)[0]} == {wav.name}
+            assert read_manifest(out)[1]["length"] in ("2.0", 2.0)
+            if fmt == "yaml":  # JSON lines escape every non-ASCII character
+                assert wav.name.encode("utf-8") in out.read_bytes()
+            pausecut_cli("stats", out)
+            pausecut_cli("compare", out, out)
+
+
+    @pytest.mark.parametrize("command", ["stats", "compare", "--config"])
+    def test_non_utf8_file_named(self, talk_wav, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"strategy = fixed  # r\xe9glage\n")  # undecodable before any parse
+        args = {"stats": ["stats", bad], "compare": ["compare", bad, bad],
+                "--config": ["segment", "--config", bad, talk_wav]}[command]
+        prefix = "cannot read config file" if command == "--config" else "cannot read"
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"pausecut: error: {prefix} {bad}: 'utf-8' codec can't decode")
+
+
 class TestHeader:
     COMMON = {"strategy", "total_duration"}
     VAD = {"aggressiveness", "frame_ms"}

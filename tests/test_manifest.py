@@ -1,4 +1,6 @@
+import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -149,6 +151,56 @@ class TestWrite:
         assert header["strategy"] == "vad"
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".manifest-")]
         assert leftovers == []
+
+    @pytest.fixture
+    def umask(self):
+        old = os.umask(0o027)
+        yield
+        os.umask(old)
+
+    def test_new_file_gets_a_plain_writes_mode(self, tmp_path, umask):
+        plain = tmp_path / "plain.yaml"
+        with open(plain, "w", encoding="utf-8"):
+            pass
+        path = tmp_path / "m.yaml"
+        write_manifest(path, entries3())
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode) == 0o640
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path, umask):
+        path = tmp_path / "m.yaml"
+        path.write_text("[]\n", encoding="utf-8")
+        path.chmod(0o664)
+        write_manifest(path, entries3())
+        assert stat.S_IMODE(path.stat().st_mode) == 0o664
+        assert read_manifest(path)[0] == entries3()
+
+    @pytest.mark.parametrize("fmt", ["yaml", "jsonl"])
+    def test_byte_order_mark_read(self, tmp_path, fmt):
+        path = tmp_path / "m.txt"
+        text = render_manifest(entries3(), {"strategy": "vad"}, fmt=fmt)
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert read_manifest(path) == (entries3(), {"strategy": "vad"})
+
+
+class TestJsonLines:
+    HEAD = '{"config": {}, "pausecut_manifest": 1}'
+
+    @pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029"], ids=["NEL", "LS", "PS"])
+    def test_unicode_line_breaks_stay_inside_a_record(self, brk):
+        record = {"wav": f"a{brk}b.wav", "offset": 0.0, "duration": 1.5}
+        text = f"{self.HEAD}\n{json.dumps(record, ensure_ascii=False)}\n"
+        assert brk in text
+        assert parse_manifest(text) == ([ManifestEntry(f"a{brk}b.wav", 0.0, 1.5)], {})
+
+    def test_crlf_and_blank_lines(self):
+        text = render_manifest(entries3(), {"strategy": "vad"}, fmt="jsonl")
+        text = "\r\n\r\n".join(text.split("\n")) + " \t\n"
+        assert parse_manifest(text) == (entries3(), {"strategy": "vad"})
+
+    def test_error_names_the_line_counting_blank_ones(self):
+        record = json.dumps({"wav": "a\u2028b.wav", "offset": 0, "duration": 1}, ensure_ascii=False)
+        with pytest.raises(ManifestError, match="invalid JSON on line 5"):
+            parse_manifest(f"{self.HEAD}\r\n\r\n{record}\r\n\n{{nope}}\r\n")
 
 
 # -- YAML loaders and wav-name quoting ----------------------------------------

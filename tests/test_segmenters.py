@@ -19,7 +19,9 @@ from pausecut.audio import frame_time
 from pausecut.segmenters import effective_duration, split_until
 
 from conftest import random_pauses
-from oracles import ref_hybrid, ref_hybrid_force, ref_rle_runs, ref_split_until, ref_srpol
+from oracles import (
+    ref_fixed, ref_hybrid, ref_hybrid_force, ref_rle_runs, ref_split_until, ref_srpol,
+)
 
 
 def assert_tiles(segments, total):
@@ -72,6 +74,28 @@ class TestFixed:
                 assert s.end <= s.start + length
 
 
+    def test_equals_running_sum_tiling(self, rng):
+        # 10,000+ cases, compared bit for bit with the running-sum tiling
+        cases = [
+            (float(rng.uniform(0, 200)), float(10 ** rng.uniform(-0.5, 2.5)))
+            for _ in range(6000)
+        ]
+        for _ in range(1000):  # exact multiples built by repeated addition, and their neighbours
+            length, total = float(10 ** rng.uniform(-1, 1.5)), 0.0
+            for _ in range(int(rng.integers(0, 60))):
+                total += length
+            cases += [(total, length), (math.nextafter(total, 0), length)]
+            cases.append((math.nextafter(total, math.inf), length))
+        for _ in range(1000):
+            length = float(rng.uniform(0.1, 30))
+            cases += [(0.0, length), (length * float(rng.uniform(0, 1)), length)]
+            cases.append((float(rng.uniform(0, 1e6)), math.inf))
+        assert len(cases) >= 10_000
+        for total, length in cases:
+            got = [(s.start.hex(), s.end.hex()) for s in segment_fixed(total, length)]
+            assert got == [(a.hex(), b.hex()) for a, b in ref_fixed(total, length)], (total, length)
+
+
 class TestVadMerge:
     def test_all_speech(self):
         t = FrameLabelTrack.from_label_line("S" * 10, 20)
@@ -98,6 +122,28 @@ class TestVadMerge:
         ]
         assert [(s.start, s.end, s.kept) for s in segs] == expect
         assert_tiles(segs, t.duration)
+
+
+class TestSpanCheck:
+    """fixed and both hybrid scans share one check: 0 <= total < inf."""
+
+    @pytest.mark.parametrize("total", [math.inf, math.nan, -1.0], ids=["inf", "nan", "negative"])
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            lambda total: segment_fixed(total, 20.0),
+            lambda total: segment_hybrid([], total, PLAIN),
+            lambda total: segment_hybrid_force([], total, FORCE),
+            lambda total: segment_hybrid_force([Pause.at(1.0, 0.6)], total, FORCE),
+        ],
+        ids=["fixed", "hybrid", "hybrid-force", "hybrid-force-paused"],
+    )
+    def test_refused(self, scan, total):
+        with pytest.raises(ValueError, match=r"need 0 <= start <= end < inf"):
+            scan(total)
+
+    def test_largest_finite_total_accepted(self):
+        assert spans(segment_fixed(1e308, 1e308)) == [(0.0, 1e308)]
 
 
 class TestSrpol:
