@@ -173,19 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- segment -----------------------------------------------------------------
 
 
-def _load_clip(path: str, raw_rate: int | None) -> AudioClip:
-    from .audio import WavError, read_pcm16, read_wav
-
-    try:
-        if raw_rate is not None:
-            return read_pcm16(path, raw_rate)
-        return read_wav(path)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    except (WavError, ValueError) as exc:
-        raise CliError(f"cannot decode {path}: {exc}") from exc
-
-
 def _segmenter(cfg: dict) -> Callable[[AudioClip], list[Segment]]:
     """The chosen strategy as clip -> segments, its parameters built and checked now.
 
@@ -242,12 +229,12 @@ def _segmenter(cfg: dict) -> Callable[[AudioClip], list[Segment]]:
     return lambda clip: scan(*pauses(clip), params)
 
 
-def _cmd_segment(args: argparse.Namespace) -> int:
+def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
+    from .audio import read_pcm16, read_wav
     from .manifest import render_manifest, segments_to_entries, write_manifest
 
-    cfg = _resolve(args)
     strategy, frame_ms = cfg["strategy"], cfg["frame_ms"]
     reads = READS[strategy]
     for key in ("jobs", "raw_rate"):
@@ -270,7 +257,12 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     segment = _segmenter(cfg)
 
     def process(path: str) -> tuple[float, list]:
-        clip = _load_clip(path, cfg["raw_rate"])
+        try:
+            clip = read_wav(path) if cfg["raw_rate"] is None else read_pcm16(path, cfg["raw_rate"])
+        except OSError as exc:
+            raise CliError(f"cannot read {path}: {exc}") from exc
+        except ValueError as exc:  # WavError too
+            raise CliError(f"cannot decode {path}: {exc}") from exc
         try:
             segments = segment(clip)
         except ValueError as exc:
@@ -313,11 +305,10 @@ def _for_manifest(path: str, fn, *args):
         raise CliError(f"malformed manifest {path}: {exc}") from exc
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_stats(args: argparse.Namespace, cfg: dict) -> int:
     from .manifest import SEAM_TOLERANCE, coverage_end, entries_to_segments, read_manifest
     from .metrics import compute_stats, format_stats_table, stats_to_json
 
-    cfg = _resolve(args)
     entries, header = _for_manifest(args.manifest, read_manifest, args.manifest)
     coverage = coverage_end(entries)
     total, source = cfg["total_duration"], "--total-duration"
@@ -350,13 +341,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 # -- compare -----------------------------------------------------------------
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace, cfg: dict) -> int:
     from dataclasses import asdict
 
     from .manifest import coverage_end, entries_to_segments, read_manifest
     from .metrics import boundary_prf
 
-    cfg = _resolve(args)
     for key in ("tolerance", "duration_slack"):
         if not 0 <= cfg[key] < math.inf:
             raise CliError(f"{_flag(key)} must be finite and non-negative, got {cfg[key]}")
@@ -384,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     commands = {"segment": _cmd_segment, "stats": _cmd_stats, "compare": _cmd_compare}
     try:
-        return commands[args.command](args)
+        return commands[args.command](args, _resolve(args))
     except CliError as exc:
         print(f"pausecut: error: {exc}", file=sys.stderr)
         return 1

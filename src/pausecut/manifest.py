@@ -25,6 +25,7 @@ from .segmenters import Segment
 
 YAML_FORMAT = "yaml"
 JSONL_FORMAT = "jsonl"
+_JSON_SPACE = " \t\r\n"  # the only whitespace JSON allows between tokens
 
 # libyaml's loader builds the same objects as the pure-Python one (same
 # constructor and resolver, so the same YAML 1.1 typing) about 6x faster;
@@ -152,14 +153,16 @@ def write_manifest(
 
 
 def parse_manifest(text: str) -> tuple[list[ManifestEntry], dict]:
-    """Parse either manifest format; returns (entries, header)."""
-    if text.lstrip().startswith("{"):
+    """Parse either manifest format; returns (entries, header).  One leading
+    U+FEFF is dropped; text that starts with "{" after JSON whitespace is JSON lines."""
+    text = text.removeprefix("\ufeff")
+    if text.lstrip(_JSON_SPACE).startswith("{"):
         return _parse_jsonl(text)
     return _parse_yaml(text)
 
 
 def read_manifest(path) -> tuple[list[ManifestEntry], dict]:
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_manifest(fh.read())
 
 
@@ -188,7 +191,7 @@ def _parse_jsonl(text: str) -> tuple[list[ManifestEntry], dict]:
     entries = []
     header: dict = {}
     for i, line in enumerate(text.split("\n")):  # JSON strings may hold U+0085, U+2028
-        if not line.strip():
+        if not line.strip(_JSON_SPACE):  # str.strip() also takes U+2028, "\x0c", ...
             continue
         try:
             record = json.loads(line)

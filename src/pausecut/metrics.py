@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .segmenters import Segment
@@ -91,19 +92,12 @@ def length_histogram(segments: list[Segment], bin_width: float) -> list[int]:
     """Counts of kept segments per duration bin [k*w, (k+1)*w)."""
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    bins: list[int] = []
-    for s in segments:
-        if not s.kept:
-            continue
-        k = math.floor(s.duration / bin_width)
-        if k >= len(bins):
-            bins.extend([0] * (k + 1 - len(bins)))
-        bins[k] += 1
-    return bins
+    counts = Counter(math.floor(s.duration / bin_width) for s in segments if s.kept)
+    return [counts[k] for k in range(max(counts, default=-1) + 1)]
 
 
-def _fmt(value: float | None, pattern: str = "{:.2f}") -> str:
-    return "-" if value is None else pattern.format(value)
+def _fmt(value: float | None) -> str:
+    return "-" if value is None else f"{value:.2f}"
 
 
 def stats_rows(stats: SegStats) -> list[tuple[str, str]]:

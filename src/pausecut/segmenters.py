@@ -82,6 +82,8 @@ class HybridParams:
             raise ValueError(
                 f"need 0 < min_len <= max_len, got ({self.min_len}, {self.max_len})"
             )
+        if type(self.force_split) is not bool:
+            raise ValueError(f"force_split must be True or False, got {self.force_split!r}")
         if self.force_split and self.juncture_ms <= 0:
             raise ValueError("juncture_ms must be positive")
 

@@ -168,7 +168,7 @@ class StreamingSegmenter:
             spans = [*state["pauses"], *([] if run is None else [[run, run]])]  # the run comes last
             if not (type(n) is int and len(state["vad_window"]) == min(n, FLOOR_WINDOW)
                     and type(start) is float and 0 <= start <= frame_time(n, fm)
-                    and type(state["finished"]) is type(engine.params.force_split) is bool
+                    and type(state["finished"]) is bool
                     and all(type(a) is type(b) is int and last < a <= b < n
                             for last, (a, b) in zip([-1] + [b for _, b in spans], spans))):
                 raise ValueError("a position, window length, run, pause or flag out of range")

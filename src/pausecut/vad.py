@@ -74,10 +74,11 @@ class VadConfig:
     frame_ms: int = 20
 
     def __post_init__(self) -> None:
-        if not 0 <= self.aggressiveness < len(MULTIPLIERS):
-            raise ValueError(f"aggressiveness must be in [0, 3], got {self.aggressiveness}")
+        modes = len(MULTIPLIERS)
+        if not 0 <= self.aggressiveness < modes:
+            raise ValueError(f"aggressiveness must be in [0, {modes - 1}], got {self.aggressiveness}")
         if self.frame_ms not in SUPPORTED_FRAME_MS:
-            raise ValueError(f"frame_ms must be 10, 20 or 30, got {self.frame_ms}")
+            raise ValueError(f"frame_ms must be one of {SUPPORTED_FRAME_MS}, got {self.frame_ms}")
 
     @property
     def multiplier(self) -> float:
@@ -141,8 +142,6 @@ class Pause:
 
     @classmethod
     def from_frames(cls, first: int, last: int, frame_ms: int) -> "Pause":
-        if last < first:
-            raise ValueError("empty frame span")
         return cls(
             start=frame_time(first, frame_ms),
             duration=frame_time(last - first + 1, frame_ms),

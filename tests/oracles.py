@@ -6,6 +6,7 @@ The arithmetic expressions (e.g. midpoint = start + effective/2) match
 the library's documented formulas so comparisons can be exact.
 """
 
+import math
 from bisect import bisect_left
 
 import numpy as np
@@ -199,6 +200,19 @@ def ref_optimal_boundary_hits(hyp, ref, tolerance: float) -> int:
         return score
 
     return best(0, 0)
+
+
+def ref_length_histogram(segments, bin_width: float) -> list[int]:
+    """Grow the list of bins whenever a kept segment lands past its end."""
+    bins: list[int] = []
+    for s in segments:
+        if not s.kept:
+            continue
+        k = math.floor(s.duration / bin_width)
+        if k >= len(bins):
+            bins.extend([0] * (k + 1 - len(bins)))
+        bins[k] += 1
+    return bins
 
 
 def ref_noise_floors(energies: np.ndarray) -> np.ndarray:

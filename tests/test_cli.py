@@ -177,6 +177,21 @@ class TestSegment:
         assert "bad.wav" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv", [["hybrid"], ["hybrid", "--streaming"], ["vad"]], ids=["batch", "streaming", "vad"]
+    )
+    def test_rate_without_whole_frames_names_the_file(self, tmp_path, capsys, argv):
+        wav = tmp_path / "odd.wav"
+        write_wav(wav, clip_from(tone(2.0, rate=11025), rate=11025))  # 220.5 samples per 20 ms
+        out = tmp_path / "out.yaml"
+        assert run(["segment", "-o", out, "--strategy", *argv, wav]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"pausecut: error: {wav}: incompatible rate/frame: 11025 Hz"
+        )
+        assert not out.exists()
+        assert run(["segment", "-o", out, "--strategy", "fixed", wav]) == 0
+        assert read_manifest(out)[0][0].duration == 2.0
+
+    @pytest.mark.parametrize(
         "strategy,streaming",
         [("vad", False), ("srpol", False), ("hybrid", False), ("hybrid-force", False),
          ("hybrid", True), ("hybrid-force", True)],
@@ -671,6 +686,16 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert "segment" in proc.stdout and "compare" in proc.stdout
 
+    @pytest.mark.parametrize("name,status", [("talk.wav", 0), ("missing.wav", 1)])
+    def test_console_script_exits_with_mains_status(
+        self, talk_wav, monkeypatch, capsys, name, status
+    ):
+        monkeypatch.setattr("sys.argv", ["pausecut", "segment", str(talk_wav.parent / name)])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == status
+        assert capsys.readouterr().out.startswith("# pausecut manifest v1") == (status == 0)
+
 
 class TestTextEncoding:
     def test_no_text_file_takes_the_locale_encoding(self, tmp_path):
@@ -858,6 +883,16 @@ class TestParallelSegment:
         assert {e.wav for e in read_manifest(tmp_path / "jobs2.yaml")[0]} == {
             "talk0.wav", "talk1.wav", "talk2.wav"
         }
+
+    @pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-second"])
+    def test_jobs_2_error_names_the_bad_input(self, talk_wav, tmp_path, capsys, bad_first):
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"RIFF....WAVE")
+        inputs = [bad, talk_wav] if bad_first else [talk_wav, bad]
+        assert run(["segment", "--jobs", "2", *inputs]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"pausecut: error: cannot decode {bad}: ")
+        assert str(talk_wav) not in captured.err and captured.out == ""
 
 
 class TestMistypedManifest:

@@ -202,6 +202,36 @@ class TestJsonLines:
         with pytest.raises(ManifestError, match="invalid JSON on line 5"):
             parse_manifest(f"{self.HEAD}\r\n\r\n{record}\r\n\n{{nope}}\r\n")
 
+    @pytest.mark.parametrize("blank", ["\u2028", "\x85", "\x0c", "\x1c"], ids=["LS", "NEL", "FF", "FS"])
+    def test_only_json_whitespace_makes_a_blank_line(self, blank):
+        record = json.dumps({"wav": "a.wav", "offset": 0, "duration": 1})
+        with pytest.raises(ValueError):
+            json.loads(blank)
+        with pytest.raises(ManifestError, match="invalid JSON on line 3"):
+            parse_manifest(f"{self.HEAD}\n \t\r\n{blank}\n{record}\n")
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("lead", ["", "\r\n \n"], ids=["flush", "blank-lines"])
+    @pytest.mark.parametrize("fmt", ["yaml", "jsonl"])
+    def test_parsed_alike(self, fmt, lead, bom):
+        text = render_manifest(entries3(), {"strategy": "vad"}, fmt=fmt)
+        assert parse_manifest(bom + lead + text) == (entries3(), {"strategy": "vad"})
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_yaml_header_on_the_first_line(self, bom):
+        assert parse_manifest(f"{bom}# strategy: vad\n[]\n") == ([], {"strategy": "vad"})
+
+    def test_only_one_dropped(self, tmp_path):
+        text = "\ufeff\ufeff" + render_manifest(entries3(), fmt="jsonl")
+        with pytest.raises(ManifestError):
+            parse_manifest(text)
+        path = tmp_path / "m.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ManifestError):
+            read_manifest(path)
+
 
 # -- YAML loaders and wav-name quoting ----------------------------------------
 

@@ -16,7 +16,7 @@ from pausecut import (
 from pausecut.metrics import SegStats, internal_boundaries, stats_rows, stats_to_json
 
 from conftest import random_pauses
-from oracles import ref_optimal_boundary_hits
+from oracles import ref_length_histogram, ref_optimal_boundary_hits
 
 
 class TestComputeStats:
@@ -162,6 +162,22 @@ class TestLengthHistogram:
             segs.append(Segment(t, t + d))
             t += d
         assert sum(length_histogram(segs, 2.0)) == 1000
+
+    def test_matches_growing_list(self, rng):
+        shapes = {"empty": 0, "all dropped": 0, "on a bin edge": 0}
+        for _ in range(10_000):
+            width = float(rng.choice([0.25, 0.5, 1.0, 2.0, 5.0, rng.uniform(0.05, 10.0)]))
+            keep = float(rng.choice([0.0, 0.5, 1.0]))
+            segs = []
+            for _ in range(int(rng.integers(0, 12))):
+                start = float(rng.integers(0, 100))
+                d = rng.uniform(0.01, 30.0) if rng.random() < 0.5 else width * rng.integers(1, 8)
+                segs.append(Segment(start, start + float(d), kept=bool(rng.random() < keep)))
+                shapes["on a bin edge"] += (segs[-1].duration / width).is_integer()
+            shapes["empty"] += not segs
+            shapes["all dropped"] += bool(segs) and not any(s.kept for s in segs)
+            assert length_histogram(segs, width) == ref_length_histogram(segs, width)
+        assert min(shapes.values()) > 100, shapes
 
     def test_validation(self):
         with pytest.raises(ValueError):

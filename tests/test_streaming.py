@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import pickle
 from bisect import bisect_right
 from collections import deque
@@ -371,6 +373,31 @@ class TestCheckpoint:
                     got.extend(_stream(resumed, fs[cut:]))
                     got.extend(resumed.flush())
                     assert got == expect, (kind, cut)
+
+    def test_every_engine_restores_from_its_own_checkpoint(self):
+        fs = frames(clip_from(tone(2.5), silence(0.6), tone(1.0), silence(0.3), tone(1.2)), 20)
+        flags = (True, False, 0, 1, 0.0, "no", "", None, np.bool_(True))
+        built = set()
+        for min_len, max_len, force, juncture_ms in itertools.product(
+            (1, 1.5, 3.0), (1.5, 3, math.inf), flags, (550, 0, -1, 1.5)
+        ):
+            try:
+                params = HybridParams(min_len, max_len, force, juncture_ms)
+            except ValueError:
+                continue
+            built.add(force)
+            engine = StreamingSegmenter(params, CFG)
+            _stream(engine, fs[:180])
+            resumed = StreamingSegmenter.restore_state(engine.save_state())
+            assert resumed.params == params and resumed.save_state() == engine.save_state()
+            expect = _stream(engine, fs[180:]) + engine.flush()
+            assert _stream(resumed, fs[180:]) + resumed.flush() == expect, params
+        assert built == {True, False}
+
+    @pytest.mark.parametrize("force", [0, 1, "no", None, np.bool_(True)])
+    def test_force_split_must_be_a_bool(self, force):
+        with pytest.raises(ValueError, match="force_split must be True or False"):
+            HybridParams(force_split=force)
 
     def test_pickle_payload_never_runs(self):
         blob = pickle.dumps((2, {"state": _Exploit()}))
