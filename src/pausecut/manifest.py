@@ -17,9 +17,8 @@ import contextlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
-
-import yaml
 
 from .segmenters import Segment
 
@@ -27,10 +26,27 @@ YAML_FORMAT = "yaml"
 JSONL_FORMAT = "jsonl"
 _JSON_SPACE = " \t\r\n"  # the only whitespace JSON allows between tokens
 
-# libyaml's loader builds the same objects as the pure-Python one (same
-# constructor and resolver, so the same YAML 1.1 typing) about 6x faster;
-# PyYAML built without libyaml has only the latter.
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+def __getattr__(name: str):
+    """`YAML_LOADER` and `_PLAIN_LOADERS`, fixed on first use, so that a
+    process reading only JSON lines never imports PyYAML."""
+    if name not in ("YAML_LOADER", "_PLAIN_LOADERS"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import yaml
+
+    # libyaml's loader builds the same objects as the pure-Python one (same
+    # constructor and resolver, so the same YAML 1.1 typing) about 6x faster;
+    # PyYAML built without libyaml has only the latter.
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    globals().update(
+        YAML_LOADER=loader, _PLAIN_LOADERS=tuple(dict.fromkeys([yaml.SafeLoader, loader]))
+    )
+    return globals()[name]
+
+
+def _lazy(name: str):
+    # a bare global name inside the module never reaches __getattr__
+    return globals().get(name) or __getattr__(name)
 
 
 @dataclass(frozen=True)
@@ -82,9 +98,6 @@ def render_manifest(
     raise ValueError(f"unknown manifest format {fmt!r}")
 
 
-_PLAIN_LOADERS = tuple(dict.fromkeys([yaml.SafeLoader, YAML_LOADER]))  # fixed now, in order
-
-
 def _yaml_scalar(text: str) -> str:
     """`text` as a flow scalar that loads back as the same string.
 
@@ -94,16 +107,18 @@ def _yaml_scalar(text: str) -> str:
     are YAML's; JSON's would write a character past U+FFFF as two surrogates.
     """
     if set(text).isdisjoint("\r\n\x85\u2028\u2029") and all(
-        _reads_back(text, loader) for loader in _PLAIN_LOADERS
+        _reads_back(text, loader) for loader in _lazy("_PLAIN_LOADERS")
     ):
         return text
     return '"' + text.encode("unicode_escape").decode("ascii").replace('"', '\\"') + '"'
 
 
 def _reads_back(text: str, loader) -> bool:
+    import yaml
+
     try:
         return yaml.load(f"- {{wav: {text}, offset: 0}}", loader) == [{"wav": text, "offset": 0}]
-    except (yaml.YAMLError, UnicodeError):  # libyaml cannot encode a lone surrogate
+    except (yaml.YAMLError, ValueError, OverflowError):  # see _parse_yaml
         return False
 
 
@@ -114,13 +129,16 @@ def _render_yaml(entries: list[ManifestEntry], header: dict) -> str:
     scalars: dict[str, str] = {}
     for e in entries:
         wav = scalars.get(e.wav) or scalars.setdefault(e.wav, _yaml_scalar(e.wav))
-        extra = ", dropped: true" if e.dropped else ""
-        lines.append(
-            f"- {{wav: {wav}, offset: {e.offset:.6f}, duration: {e.duration:.6f}{extra}}}"
-        )
+        lines.append(_yaml_record(wav, e.offset, e.duration, e.dropped))
     if not entries:
         lines.append("[]")
     return "\n".join(lines) + "\n"
+
+
+def _yaml_record(wav: str, offset: float, duration: float, dropped: bool) -> str:
+    """One entry's line; `wav` is already its `_yaml_scalar`."""
+    extra = ", dropped: true" if dropped else ""
+    return f"- {{wav: {wav}, offset: {offset:.6f}, duration: {duration:.6f}{extra}}}"
 
 
 def _render_jsonl(entries: list[ManifestEntry], header: dict) -> str:
@@ -175,16 +193,67 @@ def _parse_yaml(text: str) -> tuple[list[ManifestEntry], dict]:
         if ":" in body:
             key, _, value = body.partition(":")
             header[key.strip()] = value.strip()
+    entries = _written_entries(text)
+    if entries is not None:
+        return entries, header
+    import yaml
+
+    # libyaml refuses "\udcff" escapes (non-UTF-8 file names), which SafeLoader
+    # reads, and raises UnicodeError for a lone surrogate; SafeLoader raises
+    # ValueError or OverflowError for an escape past U+10FFFF
+    errors = (yaml.YAMLError, ValueError, OverflowError)
     try:
-        data = yaml.load(text, Loader=YAML_LOADER)
-    except yaml.YAMLError:
-        try:  # libyaml refuses "\udcff" escapes (non-UTF-8 file names); SafeLoader reads them
+        data = yaml.load(text, Loader=_lazy("YAML_LOADER"))
+    except errors:
+        try:
             data = yaml.load(text, Loader=yaml.SafeLoader)
-        except yaml.YAMLError as exc:
+        except errors as exc:
             raise ManifestError(f"invalid YAML manifest: {exc}") from exc
     if data is not None and not isinstance(data, list):
         raise ManifestError("manifest must be a list of records")
     return [_entry_from_record(r) for r in data or []], header
+
+
+# A line `_yaml_record` may have written, split into candidate fields
+# (wav, offset, duration, dropped); only writing them back decides.
+_RECORD = re.compile(r"- \{wav: (.*?), offset: ([^ ,]*), duration: ([^ ,}]*)(, dropped: true)?\}")
+
+
+def _written_entries(text: str) -> list[ManifestEntry] | None:
+    """The entries of a text `_render_yaml` could have written, read without
+    YAML; None sends the text to `yaml.load`.
+
+    Split at "\n" (one trailing "\r" dropped), each line must be empty, a
+    printable comment (YAML breaks lines at "\r", U+0085, U+2028, U+2029,
+    none printable) or a record that `_yaml_record` writes back byte for
+    byte, with finite seconds (`inf` writes back; YAML reads a string).
+    A name is quoted once, as when rendering; a quoted one never writes
+    back as itself.  Its read-back costs about what `yaml.load` takes for
+    six lines, so more than 16 names plus one per 16 records give None.
+    """
+    entries = []
+    scalars: dict[str, str] = {}
+    for line in text.split("\n"):
+        line = line.removesuffix("\r")
+        if not line or (line[0] == "#" and line.isprintable()):
+            continue
+        match = _RECORD.fullmatch(line)
+        if match is None:
+            return None
+        wav, offset, duration, dropped = match.groups()
+        try:
+            entry = ManifestEntry(wav, float(offset), float(duration), dropped is not None)
+        except ValueError:
+            return None
+        if wav not in scalars:
+            if len(scalars) > 16 + len(entries) // 16:
+                return None
+            scalars[wav] = _yaml_scalar(wav)
+        written = _yaml_record(scalars[wav], entry.offset, entry.duration, entry.dropped)
+        if written != line or not math.isfinite(entry.offset + entry.duration):
+            return None
+        entries.append(entry)
+    return entries
 
 
 def _parse_jsonl(text: str) -> tuple[list[ManifestEntry], dict]:

@@ -78,6 +78,10 @@ class HybridParams:
     juncture_ms: int = 550
 
     def __post_init__(self) -> None:
+        for name in ("min_len", "max_len", "juncture_ms"):  # as a checkpoint's JSON holds them
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int or a float, got {value!r}")
         if not 0 < self.min_len <= self.max_len:
             raise ValueError(
                 f"need 0 < min_len <= max_len, got ({self.min_len}, {self.max_len})"

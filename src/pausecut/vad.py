@@ -74,11 +74,14 @@ class VadConfig:
     frame_ms: int = 20
 
     def __post_init__(self) -> None:
+        # ints, not 2.0, True or np.int64(2): a mode indexes tuples; checkpoints are JSON
         modes = len(MULTIPLIERS)
-        if not 0 <= self.aggressiveness < modes:
-            raise ValueError(f"aggressiveness must be in [0, {modes - 1}], got {self.aggressiveness}")
-        if self.frame_ms not in SUPPORTED_FRAME_MS:
-            raise ValueError(f"frame_ms must be one of {SUPPORTED_FRAME_MS}, got {self.frame_ms}")
+        if type(self.aggressiveness) is not int or not 0 <= self.aggressiveness < modes:
+            raise ValueError(
+                f"aggressiveness must be an int in [0, {modes - 1}], got {self.aggressiveness!r}"
+            )
+        if type(self.frame_ms) is not int or self.frame_ms not in SUPPORTED_FRAME_MS:
+            raise ValueError(f"frame_ms must be one of {SUPPORTED_FRAME_MS}, got {self.frame_ms!r}")
 
     @property
     def multiplier(self) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pausecut import compute_stats, read_wav, write_wav
-from pausecut import cli
+from pausecut import cli, manifest
 from pausecut.cli import main
 from pausecut.manifest import entries_to_segments, read_manifest, render_manifest, ManifestEntry
 from pausecut.metrics import boundary_prf, stats_rows
@@ -487,6 +487,25 @@ class TestStats:
         assert run(["stats", self.fixture_manifest(tmp_path), "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["pct_filtered"] == 20.0 and data["num_segments"] == 2
+
+    @pytest.mark.parametrize(
+        "name, options",
+        [("talk.wav", []), ("talk.wav", ["--strategy", "vad", "--emit-dropped"]), ("a, b.wav", [])],
+        ids=["plain", "emit-dropped", "quoted-name"],
+    )
+    def test_yaml_and_jsonl_twins_print_the_same(self, talk_wav, tmp_path, capsys, name, options):
+        wav = talk_wav.rename(tmp_path / name)
+        printed = []
+        for fmt in ("yaml", "jsonl"):
+            out = tmp_path / f"m.{fmt}"
+            assert run(["segment", "--format", fmt, *options, "-o", out, wav]) == 0
+            assert run(["stats", out, "--json"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        text = (tmp_path / "m.yaml").read_text(encoding="utf-8")
+        assert ("dropped: true" in text) == ("--emit-dropped" in options)
+        # a quoted name is read by yaml.load, every other line without it
+        assert (manifest._written_entries(text) is None) == (name != "talk.wav")
 
     def test_malformed_manifest(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -1,8 +1,8 @@
 """Each entry point loads only what it runs.
 
 `stats`, `compare` and `--version` do no audio work, so their processes
-must not pay for importing numpy; `--version` must not load PyYAML
-either.  Every check starts a fresh interpreter with `-X importtime`,
+must not pay for importing numpy; `--version`, and `stats` and `compare`
+on JSON lines, must not load PyYAML either.  Every check starts a fresh interpreter with `-X importtime`,
 whose stderr names each module the process imports.
 """
 
@@ -80,6 +80,17 @@ def test_stats_loads_no_numpy(manifests, fmt):
 def test_compare_loads_no_numpy(manifests):
     modules = imported("-m", "pausecut", "compare", str(manifests["yaml"]), str(manifests["jsonl"]))
     assert "numpy" not in modules
+
+
+def test_jsonl_reports_load_neither_numpy_nor_yaml(manifests):
+    jsonl = str(manifests["jsonl"])
+    assert not imported("-m", "pausecut", "stats", jsonl) & {"numpy", "yaml"}
+    assert not imported("-m", "pausecut", "compare", jsonl, jsonl) & {"numpy", "yaml"}
+
+
+def test_yaml_report_loads_yaml(manifests):
+    # the probe sees PyYAML where it is used, so the check above is not vacuous
+    assert "yaml" in imported("-m", "pausecut", "stats", str(manifests["yaml"]))
 
 
 def test_segment_loads_numpy(tmp_path):

@@ -1,5 +1,7 @@
+import functools
 import json
 import os
+import re
 import stat
 
 import numpy as np
@@ -492,3 +494,159 @@ class TestRecordTypes:
                 for e in entries
             ]
             assert parse_manifest(render_manifest(entries, {"strategy": "hybrid"}, fmt))[0] == rounded
+
+
+# -- the write-back fast path -------------------------------------------------
+
+NUMBER_TEXTS = [
+    "inf", "-inf", "nan", ".inf", ".nan", "1e3", "1.0e+3", "+1.000000", "1_0.000000",
+    ".500000", "0x10", "\uff11.\uff10\uff10\uff10\uff10\uff10", "1.0", "1.0000000", "-0.000000", " 1.000000",
+    "100000000000000000000000.000000", "1" + "0" * 400 + ".000000", "1:30.000000", "",
+]
+COMMENT_CHARS = list("\r\x85\u2028\u2029\t\x0c\x0b\x1c\ufeff\xa0é😀 :#{},-'\"\\\udcff\x00")
+MUTATION_CHARS = list(" \t,:#{}[]&*!|>'\"%@`?-\\\r\x85\u2028\x0c\x0bé.0e+_") + ["\ufeff", "\udcff"]
+
+
+def _mutate(rng: np.random.Generator, text: str) -> str:
+    lines = text.split("\n")
+    at = int(rng.integers(len(lines)))
+    pick = lambda seq: seq[int(rng.integers(len(seq)))]
+    kind = int(rng.integers(13))
+    if kind == 0:  # byte-order marks
+        return pick(["\ufeff", "\ufeff\ufeff", "\ufeff\n"]) + text
+    if kind == 1:  # CRLF, all lines or one
+        if rng.random() < 0.5:
+            return text.replace("\n", "\r\n")
+        lines[at] += pick(["\r", "\r\r", " \r"])
+    elif kind == 2:  # a line break YAML sees and "\n"-splitting does not
+        brk = pick(["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"])
+        return "\n".join(lines[:at + 1]) + brk + "\n".join(lines[at + 1:])
+    elif kind == 3:  # a comment, printable or not
+        chars = rng.choice(COMMENT_CHARS + list("ab: "), size=int(rng.integers(0, 6)))
+        lines.insert(at, "#" + "".join(chars))
+    elif kind == 4:  # a number that writes back as itself or does not
+        fields = re.findall(r"(?:offset|duration): [^ ,}]*", text)
+        if fields:
+            field = pick(fields)
+            key = field.split(":")[0]
+            return text.replace(field, f"{key}: {pick(NUMBER_TEXTS)}", 1)
+    elif kind == 5:  # directives and document markers
+        if rng.random() < 0.7:
+            return pick(["%YAML 1.1\n---\n", "---\n", "--- \n", "%TAG !e! tag:e,2000:\n---\n"]) + text
+        return text + pick(["...\n", "---\n", "--- []\n"])
+    elif kind == 6:  # an indented line
+        lines[at] = pick([" ", "  ", "\t"]) + lines[at]
+    elif kind == 7:  # a blank-looking line
+        lines.insert(at, pick(["", " ", "\t", "\x0c", "\x0b", "\u2028", "\x85", "\r", " #"]))
+    elif kind == 8:  # one character inserted, replaced or deleted
+        pos = int(rng.integers(len(text) + 1))
+        char = pick(MUTATION_CHARS)
+        return text[:pos] + pick([char, char, ""]) + text[pos + int(rng.random() < 0.5):]
+    elif kind == 9:  # dropped flags
+        if ", dropped: true}" in text and rng.random() < 0.6:
+            new = pick([", dropped: false}", ", dropped: yes}", ", dropped: true }", ",dropped: true}", "}"])
+            return text.replace(", dropped: true}", new, 1)
+        if lines[at].endswith("}"):
+            lines[at] = lines[at][:-1] + ", dropped: true}"
+    elif kind == 10:  # tabs and spacing inside a record
+        old = pick([", ", ": ", "{", "- "])
+        new = pick([",\t", ":\t", "{ ", "-\t", ",  ", ":  "])
+        return text.replace(old, new, 1)
+    elif kind == 11:  # lines repeated, lost or swapped
+        other = int(rng.integers(len(lines)))
+        pick([lambda: lines.insert(at, lines[other]), lambda: lines.pop(at),
+              lambda: lines.__setitem__(slice(None), lines[:at] + lines[at:][::-1])])()
+    else:  # an empty document's forms
+        return pick(["[]\n", "[]", "# x\n[]\n", "- []\n", "# only a comment\n", "", "\n\n"])
+    return "\n".join(lines)
+
+
+def mutated_manifests(seed: int, count: int) -> list[str]:
+    """Rendered manifests with random and adversarial names, most of them
+    mutated by one to three of `_mutate`'s edits."""
+    rng = np.random.default_rng(seed)
+    plain = ["talk0.wav", "a.wav", "-x.wav", "a#b.wav", "rec_12:30:00.wav", "it's.wav", "中文.wav"]
+    names = UNSAFE_NAMES + random_names(seed + 1, 60)
+    bases = []
+    for _ in range(150):
+        pool = plain if rng.random() < 0.5 else names
+        picked = [str(n) for n in rng.choice(pool, size=int(rng.integers(1, 4)))]
+        header = {"strategy": "hybrid", "total_duration": "60.000000"} if rng.random() < 0.7 else {}
+        bases.append(render_manifest(random_entries(rng, picked)[:4], header))
+    bases.append(render_manifest([], {"strategy": "fixed"}))
+    texts = []
+    for _ in range(count):
+        text = bases[int(rng.integers(len(bases)))]
+        for _ in range(int(rng.choice([0, 1, 1, 2, 3]))):
+            text = _mutate(rng, text)
+        texts.append(text)
+    return texts
+
+
+class TestWriteBackFastPath:
+    @pytest.fixture
+    def quoted_once(self, monkeypatch):
+        # each distinct name's read-back runs once for the whole test, not
+        # once per text; the quoting itself is unchanged
+        monkeypatch.setattr(manifest, "_yaml_scalar", functools.cache(manifest._yaml_scalar))
+
+    def test_accepts_only_what_yaml_reads_alike(self, loader, quoted_once):
+        accepted = refused = 0
+        for text in mutated_manifests(31, 10_000):
+            body = text.removeprefix("\ufeff")
+            fast = manifest._written_entries(body)
+            if fast is not None:
+                accepted += 1
+                data = yaml.load(body, Loader=loader)
+                assert fast == [manifest._entry_from_record(r) for r in data or []], repr(text)
+                continue
+            try:  # the YAML path, which every YAML text took before
+                parse_manifest(text)
+            except ManifestError as exc:  # and no other error
+                refused += str(exc).startswith("invalid YAML")
+        assert accepted >= 2_000 and refused >= 1_000, (accepted, refused)
+
+    def test_plain_names_never_reach_yaml_load(self, monkeypatch):
+        # a fast path that is never taken would pass every check above
+        rng = np.random.default_rng(37)
+        names = ["talk0.wav", "a.wav"] + UNSAFE_NAMES + random_names(38, 400)
+        plain = [n for n in names if manifest._yaml_scalar(n) == n]
+        assert len(plain) >= 50
+        cases = []
+        for _ in range(300):
+            entries = random_entries(rng, plain)
+            header = {"strategy": "hybrid"} if rng.random() < 0.5 else {}
+            rendered = [
+                ManifestEntry(e.wav, float(f"{e.offset:.6f}"), float(f"{e.duration:.6f}"), e.dropped)
+                for e in entries
+            ]
+            cases.append((render_manifest(entries, header), rendered, header))
+        load = yaml.load
+
+        def refuse_whole_texts(stream, Loader):
+            assert "\n" not in stream, "a whole manifest went to yaml.load"
+            return load(stream, Loader)  # a name's one-line read-back
+
+        monkeypatch.setattr(yaml, "load", refuse_whole_texts)
+        for text, rendered, header in cases:
+            assert parse_manifest(text) == (rendered, header), text
+            assert parse_manifest(text.replace("\n", "\r\n")) == (rendered, header)
+        for name in ["a, b.wav", "yes", "\udcff.wav", "line\nbreak.wav"]:  # quoted: the YAML path
+            with pytest.raises(AssertionError, match="whole manifest"):
+                parse_manifest(render_manifest([ManifestEntry(name, 0.0, 1.0)]))
+
+    @pytest.mark.parametrize("escape", ["\\U00110000", "\\Ue001f600"], ids=["past-max", "past-c-int"])
+    def test_escape_past_the_last_code_point_refused(self, loader, escape):
+        # PyYAML's pure loader raises ValueError or OverflowError here, not
+        # YAMLError, when reading a manifest and when quoting a name
+        with pytest.raises(ManifestError, match="invalid YAML"):
+            parse_manifest(f'- {{wav: "{escape}.wav", offset: 0.0, duration: 1.0}}\n')
+        entry = ManifestEntry(f'"{escape}.wav"', 0.0, 1.0)  # that text as a file name
+        assert parse_manifest(render_manifest([entry]))[0] == [entry]
+
+    def test_many_names_go_to_yaml_load(self):
+        entries = [ManifestEntry(f"utt_{i}.wav", 0.0, 1.5) for i in range(200)]
+        text = render_manifest(entries)
+        assert manifest._written_entries(text) is None
+        assert parse_manifest(text) == (entries, {})
+        assert manifest._written_entries(render_manifest(entries[:16] * 10)) is not None

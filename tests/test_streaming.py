@@ -394,6 +394,35 @@ class TestCheckpoint:
             assert _stream(resumed, fs[180:]) + resumed.flush() == expect, params
         assert built == {True, False}
 
+    NUMPY_FIELDS = [
+        (HybridParams, "min_len", 17), (HybridParams, "max_len", 20),
+        (HybridParams, "force_split", 1), (HybridParams, "juncture_ms", 550),
+        (VadConfig, "aggressiveness", 2), (VadConfig, "frame_ms", 20),
+    ]
+
+    @pytest.mark.parametrize("kind", [np.int64, np.float32, np.float64], ids=lambda k: k.__name__)
+    @pytest.mark.parametrize(
+        "cls, field, plain", NUMPY_FIELDS, ids=[f"{c.__name__}.{f}" for c, f, _ in NUMPY_FIELDS]
+    )
+    def test_numpy_value_refused_or_checkpointed(self, cls, field, plain, kind):
+        # a checkpoint is JSON, which holds a builtin number but not an np.int64
+        changes = {field: kind(plain)}
+        try:
+            if cls is HybridParams:
+                params, cfg = HybridParams(**{"force_split": True, **changes}), CFG
+            else:
+                params, cfg = FORCE, VadConfig(**changes)
+        except ValueError:
+            return
+        fs = frames(clip_from(tone(2.5), silence(0.6), tone(1.0), silence(0.3), tone(1.2)), 20)
+        engine = StreamingSegmenter(params, cfg)
+        _stream(engine, fs[:180])
+        resumed = StreamingSegmenter.restore_state(engine.save_state())
+        assert (resumed.params, resumed.vad_config) == (params, cfg)
+        assert resumed.save_state() == engine.save_state()
+        expect = _stream(engine, fs[180:]) + engine.flush()
+        assert _stream(resumed, fs[180:]) + resumed.flush() == expect
+
     @pytest.mark.parametrize("force", [0, 1, "no", None, np.bool_(True)])
     def test_force_split_must_be_a_bool(self, force):
         with pytest.raises(ValueError, match="force_split must be True or False"):

@@ -286,6 +286,12 @@ class TestTypes:
         with pytest.raises(ValueError, match="frame_ms"):
             VadConfig(2, 25)
 
+    @pytest.mark.parametrize("mode", [1.5, 2.0, True, np.int64(2)], ids=repr)
+    def test_mode_must_be_an_int(self, mode):
+        # refused here, not with a TypeError where the mode first indexes a table
+        with pytest.raises(ValueError, match="aggressiveness must be an int"):
+            VadConfig(aggressiveness=mode)
+
     def test_config_derived_parameters(self):
         assert VadConfig(0, 20).multiplier < VadConfig(3, 20).multiplier
         assert VadConfig(0, 20).hangover > VadConfig(3, 20).hangover
