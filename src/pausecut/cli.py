@@ -183,13 +183,12 @@ def _segmenter(cfg: dict) -> Callable[[AudioClip], list[Segment]]:
     from .audio import iter_frames, samples_per_frame
     from .segmenters import HybridParams, Segment, SrpolParams, segment_fixed, segment_srpol
     from .segmenters import segment_hybrid, segment_hybrid_force, segment_vad_merge
-    from .streaming import StreamingSegmenter
     from .vad import VadConfig, classify, detect_pauses
 
     strategy, length = cfg["strategy"], cfg["length"]
     if strategy == "fixed":
-        if not length > 0:
-            raise CliError(f"--length must be positive, got {length}")
+        if not 0 < length < math.inf:
+            raise CliError(f"--length must be positive and finite, got {length}")
         return lambda clip: segment_fixed(clip.duration, length)
     vad_cfg = VadConfig(cfg["aggressiveness"], cfg["frame_ms"])
     if cfg["raw_rate"] is not None:
@@ -217,6 +216,8 @@ def _segmenter(cfg: dict) -> Callable[[AudioClip], list[Segment]]:
         return segment_srpol(Segment(0.0, duration), found, params) if duration else []
 
     def stream(clip: AudioClip) -> list[Segment]:
+        from .streaming import StreamingSegmenter
+
         engine = StreamingSegmenter(params, vad_cfg)
         frames = iter_frames(clip, vad_cfg.frame_ms)
         return [seg for frame in frames for seg in engine.push_frame(frame)] + engine.flush()

@@ -90,7 +90,7 @@ def boundary_prf(
 
 def length_histogram(segments: list[Segment], bin_width: float) -> list[int]:
     """Counts of kept segments per duration bin [k*w, (k+1)*w)."""
-    if bin_width <= 0:
+    if not bin_width > 0:  # nan too
         raise ValueError("bin_width must be positive")
     counts = Counter(math.floor(s.duration / bin_width) for s in segments if s.kept)
     return [counts[k] for k in range(max(counts, default=-1) + 1)]

@@ -41,6 +41,7 @@ adjacent segments share the identical value and tilings are exact.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -80,8 +81,9 @@ class HybridParams:
     def __post_init__(self) -> None:
         for name in ("min_len", "max_len", "juncture_ms"):  # as a checkpoint's JSON holds them
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int or a float, got {value!r}")
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite int or float, got {value!r}")
         if not 0 < self.min_len <= self.max_len:
             raise ValueError(
                 f"need 0 < min_len <= max_len, got ({self.min_len}, {self.max_len})"
@@ -101,15 +103,16 @@ class SrpolParams:
     max_len: float = 20.0
 
     def __post_init__(self) -> None:
-        if not self.max_len > 0:  # nan too
-            raise ValueError("max_len must be positive")
+        if not 0 < self.max_len < math.inf:  # nan too
+            raise ValueError("max_len must be positive and finite")
 
 
 def segment_fixed(total_duration: float, length: float) -> list[Segment]:
     """Tile [0, total_duration) with `length`-second segments, the last ending
     at total_duration: with no pause, every split is the horizon s + length."""
-    if length <= 0:
+    if not length > 0:
         raise ValueError("length must be positive")
+    length = min(length, sys.float_info.max)  # inf cuts nothing, as the largest float does
     return split_to_end([], 0.0, total_duration, HybridParams(length, length))
 
 

@@ -25,8 +25,9 @@ result -- exactly, not approximately.
 The engine holds no audio: only the VAD's floor window and hangover, the
 stream position, the open non-speech run and the pauses of the open
 segment, which are dropped as its segments go out.  `buffered_frames`,
-the pushed frames not yet covered by an emitted segment, is derived; it
-never exceeds max_len plus the frame in flight.
+the pushed frames not yet covered by an emitted segment, is derived by
+bisecting the frame ends with `frame_time`, the floats every decision
+above uses; it never exceeds max_len plus the frame in flight.
 
 One engine instance per stream.  The state is single-owner: move it
 between threads, never share it.  A checkpoint is versioned JSON of the
@@ -36,7 +37,7 @@ explicit state; restoring one reads data and never executes it.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict
 
 from .audio import Frame, frame_time
@@ -61,17 +62,9 @@ class StreamingSegmenter:
 
     @property
     def buffered_frames(self) -> int:
-        """Pushed frames whose end lies after the segment start."""
-        fm = self.vad_config.frame_ms
-        n, s = self._frames_pushed, self._segment_start
-        # Frame k - 1 ends at frame_time(k).  In exact arithmetic the ends
-        # k <= s * 1000 / fm lie at or before s; frame_time's rounding can
-        # put at most the next end there too.
-        num, den = s.as_integer_ratio()
-        settled = min(n, num * 1000 // (den * fm))
-        if settled < n and frame_time(settled + 1, fm) <= s:
-            settled += 1
-        return n - settled
+        """Pushed frames whose end, frame_time(k) for frame k - 1, lies after the segment start."""
+        fm, n, s = self.vad_config.frame_ms, self._frames_pushed, self._segment_start
+        return n - bisect_right(range(1, n + 1), s, key=lambda k: frame_time(k, fm))
 
     @property
     def frames_pushed(self) -> int:
@@ -150,7 +143,7 @@ class StreamingSegmenter:
             "finished": self._finished,
             "pauses": [p.frame_span for p in self._pauses],
         }
-        return json.dumps(state, separators=(",", ":")).encode()
+        return json.dumps(state, separators=(",", ":"), allow_nan=False).encode()
 
     @classmethod
     def restore_state(cls, blob: bytes) -> "StreamingSegmenter":

@@ -283,7 +283,7 @@ def detect_pauses(track: FrameLabelTrack, min_pause_ms: int | None = None) -> li
     """
     if min_pause_ms is None:
         min_pause_ms = track.frame_ms
-    if min_pause_ms < track.frame_ms:
+    if not min_pause_ms >= track.frame_ms:  # nan too
         raise ValueError(
             f"min_pause_ms ({min_pause_ms}) must be at least one frame ({track.frame_ms} ms)"
         )

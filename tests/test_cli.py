@@ -359,6 +359,9 @@ class TestOptionValues:
         ("hybrid-force", "juncture_ms", "0"): "juncture_ms must be positive",
         ("srpol", "max_len", "-1"): "max_len must be positive",
         ("srpol", "max_len", "nan"): "max_len must be positive",
+        ("segment", "max_len", "inf"): "max_len must be a finite int or float, got inf",
+        ("hybrid-force", "max_len", "inf"): "max_len must be a finite int or float, got inf",
+        ("srpol", "max_len", "inf"): "max_len must be positive",
     }
 
     @pytest.mark.parametrize("source", ["flag", "env", "config"])
@@ -376,8 +379,12 @@ class TestOptionValues:
             ("hybrid-force", "juncture_ms", "0"),
             ("fixed", "length", "0"),
             ("fixed", "length", "nan"),
+            ("fixed", "length", "inf"),
             ("srpol", "max_len", "-1"),
             ("srpol", "max_len", "nan"),
+            ("srpol", "max_len", "inf"),
+            ("segment", "max_len", "inf"),
+            ("hybrid-force", "max_len", "inf"),
             ("segment", "raw_rate", "0"),
             ("segment", "raw_rate", "8001"),
         ],

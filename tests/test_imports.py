@@ -2,8 +2,10 @@
 
 `stats`, `compare` and `--version` do no audio work, so their processes
 must not pay for importing numpy; `--version`, and `stats` and `compare`
-on JSON lines, must not load PyYAML either.  Every check starts a fresh interpreter with `-X importtime`,
-whose stderr names each module the process imports.
+on JSON lines, must not load PyYAML either.  Batch `segment` must not load
+the streaming engine, which only `--streaming` drives.  Every check starts
+a fresh interpreter with `-X importtime`, whose stderr names each module
+the process imports.
 """
 
 import importlib
@@ -23,8 +25,8 @@ from conftest import clip_from, silence, tone
 SRC = Path(pausecut.__file__).resolve().parent.parent
 
 
-def imported(*args: str, cwd=None) -> set[str]:
-    """Top-level modules a fresh `python -X importtime ARGS` imports; it must exit 0."""
+def imported_modules(*args: str, cwd=None) -> set[str]:
+    """Full names of the modules a fresh `python -X importtime ARGS` imports; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -36,8 +38,13 @@ def imported(*args: str, cwd=None) -> set[str]:
     for line in proc.stderr.splitlines():
         fields = line.split("|")  # "import time: SELF | CUMULATIVE | MODULE"
         if line.startswith("import time:") and len(fields) == 3 and fields[1].strip().isdigit():
-            modules.add(fields[2].strip().split(".")[0])
+            modules.add(fields[2].strip())
     return modules
+
+
+def imported(*args: str, cwd=None) -> set[str]:
+    """Top-level packages of `imported_modules(*args)`."""
+    return {name.split(".")[0] for name in imported_modules(*args, cwd=cwd)}
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +105,14 @@ def test_segment_loads_numpy(tmp_path):
     wav = tmp_path / "t.wav"
     write_wav(wav, clip_from(tone(1.0), silence(0.5), tone(1.0)))
     assert "numpy" in imported("-m", "pausecut", "segment", str(wav), "-o", str(tmp_path / "m.yaml"))
+
+
+def test_segment_loads_engine_only_for_streaming(tmp_path):
+    wav = tmp_path / "t.wav"
+    write_wav(wav, clip_from(tone(1.0), silence(0.5), tone(1.0)))
+    segment = ("-m", "pausecut", "segment", str(wav), "-o", str(tmp_path / "m.yaml"))
+    assert "pausecut.streaming" not in imported_modules(*segment)
+    assert "pausecut.streaming" in imported_modules(*segment, "--streaming")
 
 
 class TestPackageNames:

@@ -182,3 +182,8 @@ class TestLengthHistogram:
     def test_validation(self):
         with pytest.raises(ValueError):
             length_histogram([], 0.0)
+
+    @pytest.mark.parametrize("segs", [[], [Segment(0, 4)]], ids=["empty", "one"])
+    def test_nan_width_refused(self, segs):
+        with pytest.raises(ValueError, match="bin_width must be positive"):
+            length_histogram(segs, math.nan)

@@ -64,6 +64,10 @@ class TestFixed:
         with pytest.raises(ValueError):
             segment_fixed(-1.0, 5.0)
 
+    def test_nan_length_refused(self):
+        with pytest.raises(ValueError, match="length must be positive"):
+            segment_fixed(10.0, math.nan)
+
     def test_tiling_and_bound(self, rng):
         for _ in range(50):
             total = float(rng.uniform(0.1, 200))
@@ -169,7 +173,7 @@ class TestSrpol:
         got = segment_srpol(span, pauses, SrpolParams(20.0))
         assert got[0].end == 10.25
 
-    @pytest.mark.parametrize("max_len", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("max_len", [0.0, -1.0, math.nan, math.inf])
     def test_non_positive_max_len_rejected(self, max_len):
         with pytest.raises(ValueError, match="max_len must be positive"):
             SrpolParams(max_len)
@@ -316,6 +320,17 @@ class TestHybrid:
     def test_rejects_unsorted_pauses(self):
         with pytest.raises(ValueError, match="sorted"):
             segment_hybrid([Pause.at(19.0, 0.6), Pause.at(5.0, 0.3)], 40.0, PLAIN)
+
+    @pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("min_len", math.nan), ("max_len", math.inf), ("max_len", math.nan),
+         ("juncture_ms", math.inf), ("juncture_ms", math.nan)],
+    )
+    def test_non_finite_params_refused(self, force, field, value):
+        # a non-finite length or juncture cuts nothing, and strict JSON cannot hold it
+        with pytest.raises(ValueError, match=f"{field} must be a finite int or float"):
+            HybridParams(**{"min_len": 1.0, "max_len": 20.0, "force_split": force, field: value})
 
     def test_keeps_everything(self):
         pauses = [Pause.at(18.0, 1.0)]

@@ -330,6 +330,9 @@ _IMPOSSIBLE = {
     "pause-past-run-start": _checkpoint(pauses=[[129, 154], [200, 215]]),
     "force-split-text": _checkpoint(params={**_PARAMS, "force_split": "no"}),
     "force-split-int": _checkpoint(params={**_PARAMS, "force_split": 1}),
+    "max-len-inf": _checkpoint(params={**_PARAMS, "max_len": float("inf")}),
+    "juncture-nan": _checkpoint(params={**_PARAMS, "juncture_ms": float("nan")}),
+    "juncture-inf": _checkpoint(params={**_PARAMS, "juncture_ms": float("inf")}),
 }
 
 
@@ -379,7 +382,10 @@ class TestCheckpoint:
         flags = (True, False, 0, 1, 0.0, "no", "", None, np.bool_(True))
         built = set()
         for min_len, max_len, force, juncture_ms in itertools.product(
-            (1, 1.5, 3.0), (1.5, 3, math.inf), flags, (550, 0, -1, 1.5)
+            (1, 1.5, 3.0, math.nan),
+            (1.5, 3, math.inf, math.nan),
+            flags,
+            (550, 0, -1, 1.5, math.inf, math.nan),
         ):
             try:
                 params = HybridParams(min_len, max_len, force, juncture_ms)

@@ -223,6 +223,10 @@ class TestDetectPauses:
         with pytest.raises(ValueError, match="min_pause_ms"):
             detect_pauses(track("SN"), min_pause_ms=10)
 
+    def test_nan_min_pause_rejected(self):
+        with pytest.raises(ValueError, match="min_pause_ms"):
+            detect_pauses(track("SN"), min_pause_ms=math.nan)
+
     def test_against_brute_force(self, rng):
         labels = rng.random(1000) < 0.6
         t = FrameLabelTrack(labels, 20)
