@@ -9,9 +9,10 @@ else; this keeps batch and incremental code paths bit-identical.
 
 from __future__ import annotations
 
+import io
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -65,8 +66,10 @@ class AudioClip:
         self.samples = as_int16(self.samples)
         if self.samples.ndim != 1:
             raise ValueError("AudioClip is mono: samples must be one-dimensional")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        rate = self.sample_rate  # `wave` would round a float or take True as 1
+        if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or rate <= 0:
+            raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")
+        self.sample_rate = int(rate)  # a numpy rate would overflow its dtype in frame math
 
     @property
     def duration(self) -> float:
@@ -82,16 +85,15 @@ class Frame:
     """One fixed-duration slice of a clip.
 
     `padding` is the number of zero samples appended to complete a
-    trailing partial frame; such a frame is also flagged `final`.
+    trailing partial frame; such a frame, and only it, is `final`.
     Clips whose sample count is an exact frame multiple have no
-    final-flagged frame.  A frame holds at least one int16 sample.
+    final frame.  A frame holds at least one int16 sample.
     """
 
     samples: np.ndarray
     index: int
     frame_ms: int
     padding: int = 0
-    final: bool = field(default=False)
 
     def __post_init__(self) -> None:
         self.samples = as_int16(self.samples)
@@ -101,6 +103,10 @@ class Frame:
     @property
     def start_time(self) -> float:
         return frame_time(self.index, self.frame_ms)
+
+    @property
+    def final(self) -> bool:
+        return self.padding > 0
 
 
 def samples_per_frame(sample_rate: int, frame_ms: int) -> int:
@@ -137,12 +143,10 @@ def iter_frames(clip: AudioClip, frame_ms: int) -> Iterator[Frame]:
     if rem:
         padded = np.zeros(spf, dtype=np.int16)
         padded[:rem] = clip.samples[n_full * spf :]
-        yield Frame(padded, n_full, frame_ms, padding=spf - rem, final=True)
+        yield Frame(padded, n_full, frame_ms, padding=spf - rem)
 
 
 # -- WAV container ----------------------------------------------------------
-
-_PCM_FORMAT_CODE = 1
 
 
 def decode_wav(data: bytes) -> AudioClip:
@@ -185,7 +189,7 @@ def _wav_payload(data) -> tuple[memoryview, int]:
         raise MalformedWavError("missing data chunk")
 
     format_code, channels, sample_rate, _byte_rate, _block_align, bit_depth = fmt
-    if format_code != _PCM_FORMAT_CODE:
+    if format_code != 1:  # WAVE_FORMAT_PCM
         raise UnsupportedWavError(f"unsupported format code {format_code} (PCM only)")
     if bit_depth != 16:
         raise UnsupportedWavError(f"unsupported bit depth {bit_depth} (16-bit only)")
@@ -211,24 +215,9 @@ def _raw_pcm16(data) -> np.ndarray:
 
 def encode_wav(clip: AudioClip) -> bytes:
     """Serialize a clip as a canonical 44-byte-header PCM16 mono WAV."""
-    payload = clip.samples.astype("<i2").tobytes()
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF",
-        36 + len(payload),
-        b"WAVE",
-        b"fmt ",
-        16,
-        _PCM_FORMAT_CODE,
-        1,
-        clip.sample_rate,
-        clip.sample_rate * 2,
-        2,
-        16,
-        b"data",
-        len(payload),
-    )
-    return header + payload
+    buf = io.BytesIO()
+    _write_wave(buf, clip)
+    return buf.getvalue()
 
 
 def read_wav(path) -> AudioClip:
@@ -262,5 +251,13 @@ def _read_file(path) -> memoryview:
 
 
 def write_wav(path, clip: AudioClip) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_wav(clip))
+    _write_wave(os.fspath(path), clip)  # 3.11's wave.open takes a str, not a path object
+
+
+def _write_wave(target, clip: AudioClip) -> None:
+    import wave  # here, so that `segment`, which writes no audio, never loads it
+    with wave.open(target, "wb") as out:  # the layout `_wav_payload` reads, little-endian
+        out.setnchannels(1)
+        out.setsampwidth(2)
+        out.setframerate(clip.sample_rate)
+        out.writeframes(np.ascontiguousarray(clip.samples))  # native order: `wave` swaps

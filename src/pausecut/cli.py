@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -98,25 +99,26 @@ def _coerce(key: str, raw: str, source: str):
 
 
 def _load_config_file(path: str, keys: list[str]) -> dict:
-    """key = value lines; '#' starts a comment; quotes are optional.
-
-    Values of `keys` are converted; other known keys are ignored.
-    """
+    """Blank, comment or `key = value` lines.  '#' starts a comment, except in a value
+    in one pair of quotes, which is taken as written.  Values of `keys` are converted;
+    other known keys are ignored."""
+    line_re = re.compile(  # groups: key, quote, quoted value, unquoted value
+        r"""\s*(?:([^=#]*?)\s*=\s*(?:(["'])(.*?)\2|([^"'#\s][^#]*?|))\s*)?(?:#.*)?""", re.S
+    )
     values = {}
     try:
         with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
+                m = line_re.fullmatch(line)
+                if m is None:
+                    raise CliError(f"{path}:{lineno}: expected key = value (quotes must close)")
+                if m[1] is None:
                     continue
-                if "=" not in line:
-                    raise CliError(f"{path}:{lineno}: expected key = value")
-                key, _, value = line.partition("=")
-                key = key.strip().replace("-", "_")
+                key = m[1].replace("-", "_")
                 if key not in OPTIONS:
                     raise CliError(f"{path}:{lineno}: unknown option {key!r}")
                 if key in keys:
-                    values[key] = _coerce(key, value.strip().strip("\"'"), f"{path}:{lineno}")
+                    values[key] = _coerce(key, m[3] if m[2] else m[4], f"{path}:{lineno}")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     return values

@@ -154,9 +154,10 @@ def _render_jsonl(entries: list[ManifestEntry], header: dict) -> str:
 def write_manifest(
     path, entries: list[ManifestEntry], header: dict | None = None, fmt: str = YAML_FORMAT
 ) -> None:
-    """Atomic write: render UTF-8 to a temp file, then rename over `path`."""
+    """Atomic write: render UTF-8 to a temp file, then rename over `path` or its link target."""
     text = render_manifest(entries, header, fmt)
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".manifest-{os.urandom(8).hex()}")
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".manifest-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as open()
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -101,6 +101,19 @@ class TestDecodeWav:
         assert again.sample_rate == clip.sample_rate
         assert np.array_equal(again.samples, clip.samples)
 
+    @pytest.mark.parametrize("stride", [1, 2], ids=["contiguous", "strided"])
+    def test_encode_golden_bytes(self, tmp_path, stride):
+        samples = np.repeat(np.array([1, -2, 32767, -32768], dtype=np.int16), stride)[::stride]
+        golden = bytes.fromhex(
+            "52494646 2c000000 57415645"  # RIFF, 36 + payload, WAVE
+            "666d7420 10000000 0100 0100 401f0000 803e0000 0200 1000"  # fmt: PCM mono 8 kHz 16-bit
+            "64617461 08000000 0100 feff ff7f 0080"  # data: 4 little-endian samples
+        )
+        clip = AudioClip(samples, 8000)
+        assert encode_wav(clip) == golden
+        write_wav(tmp_path / "x.wav", clip)
+        assert (tmp_path / "x.wav").read_bytes() == golden
+
     def test_payload_copied_once(self):
         data = encode_wav(talk_clip(np.random.default_rng(3), 600.0))
         tracemalloc.start()
@@ -228,6 +241,15 @@ class TestFrames:
         clip = AudioClip(np.zeros(0, dtype=np.int16), 16000)
         assert frames(clip, 20) == []
 
+    def test_final_is_derived_from_padding(self):
+        assert Frame(np.ones(320, dtype=np.int16), 0, 20, padding=1).final
+        frame = Frame(np.ones(320, dtype=np.int16), 0, 20)
+        assert not frame.final
+        with pytest.raises(AttributeError):
+            frame.final = True
+        with pytest.raises(TypeError):
+            Frame(np.ones(320, dtype=np.int16), 0, 20, padding=0, final=True)
+
     def test_incompatible_rate(self):
         # 22050 * 10 / 1000 is not an integer sample count
         clip = AudioClip(np.zeros(100, dtype=np.int16), 22050)
@@ -276,6 +298,17 @@ class TestAudioClip:
     def test_positive_rate(self):
         with pytest.raises(ValueError, match="sample_rate"):
             AudioClip(np.zeros(10, dtype=np.int16), 0)
+
+    @pytest.mark.parametrize("rate", [16000.0, True, "16000"], ids=["float", "bool", "str"])
+    def test_rate_must_be_an_integer(self, rate):
+        with pytest.raises(ValueError, match="sample_rate"):
+            AudioClip(np.zeros(10, dtype=np.int16), rate)
+
+    @pytest.mark.parametrize("rate", [np.int64(16000), np.uint16(8000)], ids=["int64", "uint16"])
+    def test_numpy_integer_rate_taken_as_int(self, rate):
+        clip = AudioClip(np.zeros(1600, dtype=np.int16), rate)  # whole 20 ms frames
+        assert type(clip.sample_rate) is int and clip.sample_rate == rate
+        assert [len(f.samples) for f in frames(clip, 20)] == [rate // 50] * (1600 // (rate // 50))
 
     def test_duration_zero_iff_empty(self):
         assert AudioClip(np.zeros(0, dtype=np.int16), 16000).duration == 0.0

@@ -151,6 +151,20 @@ class TestSegment:
         assert run(["segment", "--strategy", "fixed", "-o", out, talk_wav]) == 1
         assert capsys.readouterr().err == f"pausecut: error: cannot write {out}: {reason}\n"
 
+    def test_output_through_symlink_writes_its_target(self, talk_wav, tmp_path, capsys):
+        real, link = tmp_path / "real.yaml", tmp_path / "link.yaml"
+        real.write_text("stale\n")
+        link.symlink_to(real.name)
+        assert run(["segment", "--strategy", "fixed", "-o", link, talk_wav]) == 0
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert read_manifest(real)[1]["strategy"] == "fixed"
+        assert not list(tmp_path.glob(".manifest-*"))
+        dangling = tmp_path / "dangling.yaml"
+        dangling.symlink_to(tmp_path / "missing" / "x.yaml")
+        assert run(["segment", "--strategy", "fixed", "-o", dangling, talk_wav]) == 1
+        err = capsys.readouterr().err
+        assert err == f"pausecut: error: cannot write {dangling}: No such file or directory\n"
+
     def test_raw_rate_framing_checked_only_where_frames_are_read(self, tmp_path, capsys):
         pcm = tmp_path / "t.pcm"
         pcm.write_bytes(np.zeros(8001 * 3, dtype="<i2").tobytes())
@@ -289,6 +303,14 @@ class TestConfigResolution:
         entries, _ = read_manifest(out)
         assert entries[0].duration == 14.0
 
+    def test_quoted_value_keeps_its_hash(self, talk_wav, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("strategy = 'fixed'  # comment\noutput = \"take#2.yaml\"  # comment\n")
+        assert run(["segment", "--config", cfg, talk_wav]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["run.conf", "take#2.yaml", "talk.wav"]
+        assert read_manifest(tmp_path / "take#2.yaml")[1]["strategy"] == "fixed"
+
     def test_unknown_config_key(self, talk_wav, tmp_path, capsys):
         cfg = tmp_path / "run.conf"
         cfg.write_text("no_such_option = 1\n")
@@ -301,12 +323,15 @@ class TestConfigResolution:
             ("no-equals", "run.conf:2: expected key = value"),
             ("missing", "cannot read config file"),
             ("directory", "cannot read config file"),
+            ("unclosed-quote", "run.conf:2: expected key = value"),
         ],
     )
     def test_bad_config_file(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "run.conf"
         if config == "no-equals":
             cfg.write_text("strategy = fixed\nlength 10\n")
+        elif config == "unclosed-quote":
+            cfg.write_text('strategy = fixed\noutput = "take#2.yaml\n')
         elif config == "directory":
             cfg.mkdir()
         audio = tmp_path / "a.wav"  # never created: reading it would fail differently

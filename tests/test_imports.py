@@ -3,7 +3,8 @@
 `stats`, `compare` and `--version` do no audio work, so their processes
 must not pay for importing numpy; `--version`, and `stats` and `compare`
 on JSON lines, must not load PyYAML either.  Batch `segment` must not load
-the streaming engine, which only `--streaming` drives.  Every check starts
+the streaming engine, which only `--streaming` drives, nor stdlib `wave`,
+which only writing a WAV needs.  Every check starts
 a fresh interpreter with `-X importtime`, whose stderr names each module
 the process imports.
 """
@@ -113,6 +114,15 @@ def test_segment_loads_engine_only_for_streaming(tmp_path):
     segment = ("-m", "pausecut", "segment", str(wav), "-o", str(tmp_path / "m.yaml"))
     assert "pausecut.streaming" not in imported_modules(*segment)
     assert "pausecut.streaming" in imported_modules(*segment, "--streaming")
+
+
+def test_segment_does_not_load_wave(tmp_path):
+    # only writing a WAV needs stdlib `wave`; reading one parses the RIFF chunks itself
+    wav = tmp_path / "t.wav"
+    write_wav(wav, clip_from(tone(1.0), silence(0.5), tone(1.0)))
+    assert "wave" not in imported_modules("-m", "pausecut", "segment", str(wav))
+    write = f"import pausecut as pc; pc.write_wav({str(wav)!r}, pc.AudioClip([0], 8000))"
+    assert "wave" in imported_modules("-c", write)  # the probe sees it where it is used
 
 
 class TestPackageNames:
