@@ -70,7 +70,7 @@ OPTIONS = {
         ("stats",), None, float, None, "audio duration (s); default: header, else coverage"
     ),
     "tolerance": (("compare",), 0.5, float, None, "match window (s)"),
-    "duration_slack": (("compare",), 0.03, float, None, "allowed coverage mismatch (s)"),
+    "duration_slack": (("compare",), 0.03, float, None, "allowed mismatch of the two totals (s)"),
     "json": (("stats", "compare"), False, None, None, "print JSON"),
 }
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True}
@@ -250,7 +250,7 @@ def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
     if cfg["min_pause_ms"] is None:
         cfg["min_pause_ms"] = frame_ms
     min_pause = cfg["min_pause_ms"]
-    if "frame_ms" in reads and min_pause < frame_ms:
+    if "min_pause_ms" in reads and min_pause < frame_ms:
         raise CliError(f"min_pause_ms ({min_pause}) must be at least one frame ({frame_ms} ms)")
     if cfg["streaming"] and min_pause > frame_ms:
         raise CliError(
@@ -296,12 +296,35 @@ def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
 # -- stats -------------------------------------------------------------------
 
 
-def _for_manifest(path: str, fn, *args):
-    """`fn(*args)`, with a read or format error reported against manifest `path`."""
-    from .manifest import ManifestError
+def _timeline(path: str, total: float | None = None) -> tuple[list[Segment], float]:
+    """Manifest `path` as a tiling of [0, total), with that total: `total` (the
+    --total-duration flag), else the header's, else the coverage.  A read or format
+    error is reported against `path`."""
+    from .manifest import SEAM_TOLERANCE, ManifestError, coverage_end, entries_to_segments
+    from .manifest import read_manifest
 
+    fail, source = CliError, "--total-duration"
     try:
-        return fn(*args)
+        entries, header = read_manifest(path)
+        coverage = coverage_end(entries)
+        if total is None and "total_duration" in header:
+            fail, source, value = ManifestError, "total_duration", header["total_duration"]
+            try:
+                if isinstance(value, bool):  # JSON true is not one second
+                    raise TypeError(value)
+                total = float(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise fail(f"{source} must be a number, got {value!r}") from exc
+        if total is None:
+            total = coverage
+        elif not math.isfinite(total):
+            raise fail(f"{source} must be finite, got {total}")
+        elif total < 0 or total < coverage - SEAM_TOLERANCE:
+            raise fail(
+                f"{source} must be non-negative and cover the manifest's {coverage:.6f}s, "
+                f"got {total}"
+            )
+        return entries_to_segments(entries, total), total
     except (OSError, UnicodeDecodeError) as exc:  # UTF-8 text only
         raise CliError(f"cannot read {path}: {exc}") from exc
     except ManifestError as exc:
@@ -309,31 +332,9 @@ def _for_manifest(path: str, fn, *args):
 
 
 def _cmd_stats(args: argparse.Namespace, cfg: dict) -> int:
-    from .manifest import SEAM_TOLERANCE, coverage_end, entries_to_segments, read_manifest
     from .metrics import compute_stats, format_stats_table, stats_to_json
 
-    entries, header = _for_manifest(args.manifest, read_manifest, args.manifest)
-    coverage = coverage_end(entries)
-    total, source = cfg["total_duration"], "--total-duration"
-    if total is None and "total_duration" in header:
-        source = f"malformed manifest {args.manifest}: total_duration"
-        value = header["total_duration"]
-        try:
-            if isinstance(value, bool):  # JSON true is not one second
-                raise TypeError(value)
-            total = float(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CliError(f"{source} must be a number, got {value!r}") from exc
-    if total is None:
-        total = coverage
-    elif not math.isfinite(total):
-        raise CliError(f"{source} must be finite, got {total}")
-    elif total < 0 or total < coverage - SEAM_TOLERANCE:
-        raise CliError(
-            f"{source} must be non-negative and cover the manifest's {coverage:.6f}s, got {total}"
-        )
-    segments = _for_manifest(args.manifest, entries_to_segments, entries, total)
-    stats = compute_stats(segments, total)
+    stats = compute_stats(*_timeline(args.manifest, cfg["total_duration"]))
     if cfg["json"]:
         print(stats_to_json(stats))
     else:
@@ -347,22 +348,17 @@ def _cmd_stats(args: argparse.Namespace, cfg: dict) -> int:
 def _cmd_compare(args: argparse.Namespace, cfg: dict) -> int:
     from dataclasses import asdict
 
-    from .manifest import coverage_end, entries_to_segments, read_manifest
     from .metrics import boundary_prf
 
     for key in ("tolerance", "duration_slack"):
         if not 0 <= cfg[key] < math.inf:
             raise CliError(f"{_flag(key)} must be finite and non-negative, got {cfg[key]}")
-    hyp_entries, _ = _for_manifest(args.hypothesis, read_manifest, args.hypothesis)
-    ref_entries, _ = _for_manifest(args.reference, read_manifest, args.reference)
-    hyp_total = coverage_end(hyp_entries)
-    ref_total = coverage_end(ref_entries)
+    hyp, hyp_total = _timeline(args.hypothesis)
+    ref, ref_total = _timeline(args.reference)
     if abs(hyp_total - ref_total) > cfg["duration_slack"]:
         raise CliError(
             f"manifests cover different durations: {hyp_total:.6f}s vs {ref_total:.6f}s"
         )
-    hyp = _for_manifest(args.hypothesis, entries_to_segments, hyp_entries)
-    ref = _for_manifest(args.reference, entries_to_segments, ref_entries)
     report = asdict(boundary_prf(hyp, ref, cfg["tolerance"]))
     if cfg["json"]:
         print(json.dumps(report, sort_keys=True))

@@ -311,8 +311,8 @@ def coverage_end(entries: list[ManifestEntry]) -> float:
 
 
 # Manifest values carry six decimals, so adjacent entries can disagree by
-# up to a microsecond after rounding; seams inside this tolerance are
-# treated as contiguous rather than as real gaps or overlaps.
+# up to a microsecond after rounding; seams inside this tolerance, the last
+# one at `total_duration` too, are contiguous rather than gaps or overlaps.
 SEAM_TOLERANCE = 1e-5
 
 
@@ -341,6 +341,6 @@ def entries_to_segments(
             raise ManifestError(f"overlapping segments at offset {e.offset:.6f}")
         segments.append(Segment(cursor, e.end, kept=not e.dropped))
         cursor = e.end
-    if total > cursor:
+    if total > cursor + SEAM_TOLERANCE:
         segments.append(Segment(cursor, total, kept=False))
     return segments

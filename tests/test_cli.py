@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from pausecut import compute_stats, read_wav, write_wav
+from pausecut import HybridParams, Segment, SrpolParams, VadConfig, classify, compute_stats
+from pausecut import detect_pauses, read_wav, segment_fixed, segment_hybrid, segment_hybrid_force
+from pausecut import segment_srpol, segment_vad_merge, write_wav
 from pausecut import cli, manifest
 from pausecut.cli import main
 from pausecut.manifest import entries_to_segments, read_manifest, render_manifest, ManifestEntry
@@ -207,7 +209,7 @@ class TestSegment:
 
     @pytest.mark.parametrize(
         "strategy,streaming",
-        [("vad", False), ("srpol", False), ("hybrid", False), ("hybrid-force", False),
+        [("srpol", False), ("hybrid", False), ("hybrid-force", False),
          ("hybrid", True), ("hybrid-force", True)],
     )
     def test_min_pause_below_frame_rejected_before_reading(
@@ -221,6 +223,16 @@ class TestSegment:
         assert "min_pause_ms (10) must be at least one frame (20 ms)" in err
         assert "missing.wav" not in err  # rejected before any input is opened
         assert not out.exists()
+
+    def test_vad_takes_any_min_pause(self, talk_wav, tmp_path, monkeypatch):
+        # like fixed, vad neither reads nor echoes min_pause_ms
+        plain, flag, env = (tmp_path / f"{name}.yaml" for name in ("plain", "flag", "env"))
+        assert run(["segment", "--strategy", "vad", "-o", plain, talk_wav]) == 0
+        assert run(["segment", "--strategy", "vad", "--min-pause-ms", "10", "-o", flag, talk_wav]) == 0
+        monkeypatch.setenv("PAUSECUT_MIN_PAUSE_MS", "10")  # as left set for hybrid runs
+        assert run(["segment", "--strategy", "vad", "-o", env, talk_wav]) == 0
+        assert flag.read_bytes() == env.read_bytes() == plain.read_bytes()
+        assert "min_pause_ms" not in read_manifest(flag)[1]
 
 
 class TestStreamingOptions:
@@ -613,6 +625,16 @@ class TestStats:
             row = next(line for line in report.splitlines() if line.startswith(label))
             assert value in row
 
+    def test_whole_tiling_filters_nothing(self, tmp_path, capsys):
+        # the last entry ends at 28.0 + 2.027125 = 30.027124999999998, an ulp
+        # short of the header's 30.027125; that sliver is no dropped audio
+        wav, out = tmp_path / "a.wav", tmp_path / "m.yaml"
+        write_wav(wav, speechy_clip(np.random.default_rng(1), 480_434 / 16000))
+        for strategy in (["fixed", "--length", "7"], ["srpol"], ["hybrid"], ["hybrid-force"]):
+            assert run(["segment", "--strategy", *strategy, "-o", out, wav]) == 0
+            assert run(["stats", out, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["pct_filtered"] == 0.0, strategy
+
 
 class TestCompare:
     def write_fixed(self, tmp_path, wav, length, name):
@@ -659,6 +681,79 @@ class TestCompare:
         assert run(["compare", m, m, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["f1"] == 1.0
+
+    def test_vad_ending_in_silence_against_hybrid(self, tmp_path, capsys):
+        # a vad manifest stops at its last speech; its header still gives 45 s
+        wav = tmp_path / "talk.wav"
+        write_wav(wav, clip_from(speechy_clip(np.random.default_rng(2), 44.0).samples, silence(1.0)))
+        vad, twin, hybrid = tmp_path / "vad.yaml", tmp_path / "twin.yaml", tmp_path / "hyb.yaml"
+        assert run(["segment", "--strategy", "vad", "-o", vad, wav]) == 0
+        assert run(["segment", "--strategy", "vad", "--emit-dropped", "-o", twin, wav]) == 0
+        assert run(["segment", "-o", hybrid, wav]) == 0
+        assert read_manifest(vad)[0][-1].end < 45.0 - 0.03
+        assert run(["compare", twin, hybrid]) == 0
+        expected = capsys.readouterr().out
+        assert run(["compare", vad, hybrid]) == 0
+        assert capsys.readouterr().out == expected
+
+    STRATEGY_ARGV = {
+        "fixed": ["--strategy", "fixed", "--length", "4"],
+        "vad": ["--strategy", "vad"],
+        "srpol": ["--strategy", "srpol", "--max-len", "5"],
+        "hybrid": ["--strategy", "hybrid", "--min-len", "3", "--max-len", "5"],
+        "hybrid-force": ["--strategy", "hybrid-force", "--min-len", "3", "--max-len", "5"],
+    }
+
+    @staticmethod
+    def library_tiling(clip, strategy):
+        """What `segment` writes, as a tiling of the clip, built without the CLI."""
+        if strategy == "fixed":
+            return segment_fixed(clip.duration, 4.0)
+        track = classify(clip, VadConfig())
+        pauses, span = detect_pauses(track, 20), track.duration
+        if strategy == "vad":
+            segments = segment_vad_merge(track)
+        elif strategy == "srpol":
+            segments = segment_srpol(Segment(0.0, span), pauses, SrpolParams(5.0))
+        else:
+            params = HybridParams(3.0, 5.0, strategy == "hybrid-force", 550)
+            scan = segment_hybrid_force if params.force_split else segment_hybrid
+            segments = scan(pauses, span, params)
+        clamped = [Segment(s.start, min(s.end, clip.duration), s.kept) for s in segments]
+        return [s for s in clamped if s.end > s.start]
+
+    @pytest.mark.parametrize("fmt", ["yaml", "jsonl"])
+    def test_property_headers_twins_and_library_agree(self, tmp_path, capsys, rng, fmt):
+        def compare(hyp, ref):
+            assert run(["compare", hyp, ref, "--tolerance", repr(tolerance), "--json"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        for case in range(12):
+            clip = speechy_clip(rng, float(rng.uniform(8.0, 30.0)))
+            wav = tmp_path / f"c{case}.wav"
+            write_wav(wav, clip)
+            tolerance = float(rng.uniform(0.05, 1.0))  # off the frame grid: no ties
+            sides = [str(s) for s in rng.choice(list(self.STRATEGY_ARGV), 2)]
+            paths = {}
+            for side, strategy in enumerate(sides):
+                for dropped in (False, True):
+                    path = tmp_path / f"c{case}-{side}-{dropped}.{fmt}"
+                    argv = ["segment", "--format", fmt, *self.STRATEGY_ARGV[strategy], "-o", path]
+                    assert run([*argv, "--emit-dropped", wav] if dropped else [*argv, wav]) == 0
+                    paths[side, dropped] = path
+            report = compare(paths[0, False], paths[1, False])
+            assert report == compare(paths[0, True], paths[1, True]), sides
+            hyp, ref = (self.library_tiling(clip, strategy) for strategy in sides)
+            score = boundary_prf(hyp, ref, tolerance)
+            assert report == {
+                "precision": score.precision,
+                "recall": score.recall,
+                "f1": score.f1,
+                "tolerance": tolerance,
+            }, sides
+            swapped = compare(paths[1, False], paths[0, False])
+            assert (swapped["precision"], swapped["recall"]) == (report["recall"], report["precision"])
+            assert swapped["f1"] == report["f1"]
 
 
 class TestForeignManifests:

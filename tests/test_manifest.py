@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import yaml
 
-from pausecut import Segment, manifest
+from pausecut import HybridParams, Segment, SrpolParams, compute_stats, manifest
+from pausecut import segment_fixed, segment_hybrid, segment_hybrid_force, segment_srpol
 from pausecut.manifest import (
     ManifestEntry,
     ManifestError,
@@ -20,6 +21,8 @@ from pausecut.manifest import (
     segments_to_entries,
     write_manifest,
 )
+
+from conftest import random_pauses
 
 
 def entries3():
@@ -129,6 +132,32 @@ class TestNormalization:
         segs = entries_to_segments(entries)
         assert len(segs) == 2
         assert segs[0].end == segs[1].start
+
+    def test_tail_inside_seam_tolerance_is_contiguous(self):
+        entries = [ManifestEntry("a", 0.0, 1.0), ManifestEntry("a", 1.0, 1.0)]
+        assert entries_to_segments(entries, 2.000001) == entries_to_segments(entries)
+
+    @pytest.mark.parametrize("fmt", ["yaml", "jsonl"])
+    def test_whole_tiling_filters_nothing(self, rng, fmt):
+        # a written entry ends at offset + duration, which can fall an ulp short
+        # of the header's six-decimal total (28.0 + 2.027125 < 30.027125);
+        # that sliver is no dropped audio
+        for n in range(480_000, 480_000 + 572 * 7, 7):
+            total = n / 16000
+            pauses = random_pauses(rng, total)
+            tilings = [
+                segment_fixed(total, 7.0),
+                segment_hybrid(pauses, total, HybridParams(5.0, 7.0)),
+                segment_hybrid_force(pauses, total, HybridParams(5.0, 7.0, True, 550)),
+                segment_srpol(Segment(0.0, total), pauses, SrpolParams(7.0)),
+            ]
+            for segments in tilings:
+                header = {"total_duration": f"{total:.6f}"}
+                text = render_manifest(segments_to_entries(segments, "a.wav", total), header, fmt)
+                entries, header = parse_manifest(text)
+                written = float(header["total_duration"])
+                stats = compute_stats(entries_to_segments(entries, written), written)
+                assert stats.pct_filtered == 0.0, (n, segments)
 
     def test_overlap_rejected(self):
         entries = [ManifestEntry("a", 0.0, 2.0), ManifestEntry("a", 1.0, 2.0)]
