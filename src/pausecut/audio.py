@@ -10,6 +10,7 @@ else; this keeps batch and incremental code paths bit-identical.
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -55,6 +56,14 @@ def as_int16(samples) -> np.ndarray:
     return a.astype(np.int16)
 
 
+def _check_rate(rate) -> int:
+    """`rate` as a positive int, or ValueError: `wave` would round a float or take
+    True as 1, and a numpy rate would overflow its dtype in frame math."""
+    if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or rate <= 0:
+        raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")
+    return int(rate)
+
+
 @dataclass
 class AudioClip:
     """Decoded mono PCM audio: int16 samples plus their sample rate."""
@@ -66,10 +75,7 @@ class AudioClip:
         self.samples = as_int16(self.samples)
         if self.samples.ndim != 1:
             raise ValueError("AudioClip is mono: samples must be one-dimensional")
-        rate = self.sample_rate  # `wave` would round a float or take True as 1
-        if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or rate <= 0:
-            raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")
-        self.sample_rate = int(rate)  # a numpy rate would overflow its dtype in frame math
+        self.sample_rate = _check_rate(self.sample_rate)
 
     @property
     def duration(self) -> float:
@@ -132,21 +138,30 @@ def frames(clip: AudioClip, frame_ms: int) -> list[Frame]:
     return list(iter_frames(clip, frame_ms))
 
 
-def iter_frames(clip: AudioClip, frame_ms: int) -> Iterator[Frame]:
-    """Pull-based variant of :func:`frames`; single-consumer."""
+def iter_frames(clip: AudioClip, frame_ms: int, first: int = 0) -> Iterator[Frame]:
+    """Pull-based variant of :func:`frames`; single-consumer.  `first` is the index
+    of the clip's first frame, for a clip that continues a stream."""
     spf = samples_per_frame(clip.sample_rate, frame_ms)
     total = len(clip.samples)
     n_full = total // spf
     for i in range(n_full):
-        yield Frame(clip.samples[i * spf : (i + 1) * spf], i, frame_ms)
+        yield Frame(clip.samples[i * spf : (i + 1) * spf], first + i, frame_ms)
     rem = total - n_full * spf
     if rem:
         padded = np.zeros(spf, dtype=np.int16)
         padded[:rem] = clip.samples[n_full * spf :]
-        yield Frame(padded, n_full, frame_ms, padding=spf - rem)
+        yield Frame(padded, first + n_full, frame_ms, padding=spf - rem)
 
 
 # -- WAV container ----------------------------------------------------------
+
+# Bytes per read block, rounded down to whole 60 ms of samples: whole frames
+# of every supported size (10, 20 and 30 ms all divide 60 ms) at any rate
+# that frames at all.  MAX_RATE is the highest rate whose 60 ms fit a block.
+BLOCK_BYTES = 1 << 20
+MAX_RATE = BLOCK_BYTES // 2 * 1000 // 60
+_PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")  # KSDATAFORMAT_SUBTYPE_PCM
+_UNFINALISED = (0, 0xFFFFFFFF)  # sizes a capture tool leaves when it never finalises the header
 
 
 def decode_wav(data: bytes) -> AudioClip:
@@ -156,61 +171,151 @@ def decode_wav(data: bytes) -> AudioClip:
     encodings (format code, bit depth, channel count) are reported as
     distinct errors.  The samples are a copy: `data` is the caller's.
     """
-    payload, sample_rate = _wav_payload(data)
-    return AudioClip(np.frombuffer(payload, dtype="<i2").astype(np.int16), sample_rate)
+    return _read_wav(io.BytesIO(data), len(data))
 
 
-def _wav_payload(data) -> tuple[memoryview, int]:
-    """The data chunk of a RIFF/WAVE buffer, as a view, and its sample rate."""
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
+def read_wav(path) -> AudioClip:
+    """Read a WAV file (see :func:`decode_wav`).
+
+    The samples view the one buffer the data is read into, so reading
+    peaks at the payload size rather than twice it.
+    """
+    with open(path, "rb") as fh:
+        return _read_wav(fh, os.fstat(fh.fileno()).st_size)
+
+
+def _read_wav(fh, total: int) -> AudioClip:
+    sample_rate, size, start = _wav_header(fh)
+    return _read_all(fh, sample_rate, size, False, total - start)
+
+
+def iter_wav_chunks(fh) -> tuple[int, Iterator[np.ndarray]]:
+    """Walk the header of the RIFF/WAVE stream `fh` now; return its sample rate
+    and an iterator over its samples in int16 blocks (see :func:`decode_wav`).
+
+    Every block but the last holds whole frames of each size the rate allows.
+    The blocks share one buffer, so each is valid until the next is read.  An
+    error that shows only at the end of the data (a truncated data chunk) is
+    raised by the iterator, after the blocks before it.
+    """
+    sample_rate, size, _ = _wav_header(fh)
+    return sample_rate, _blocks(fh, sample_rate, size, False)
+
+
+def iter_pcm16_chunks(fh, sample_rate: int) -> tuple[int, Iterator[np.ndarray]]:
+    """Headerless PCM16 mono from `fh` as :func:`iter_wav_chunks` gives a WAV's;
+    an odd byte count is an error at the end of the stream."""
+    sample_rate = _block_rate(sample_rate, ValueError)
+    return sample_rate, _blocks(fh, sample_rate, None, True)
+
+
+def _read_all(fh, sample_rate: int, size: int | None, strict: bool, rest: int) -> AudioClip:
+    """What :func:`_blocks` reads of `fh`, as one clip.  `rest` is the byte count
+    left in `fh` as far as it is known (none for a pipe): up to that the samples
+    view the one buffer they are read into, made a byte or two longer so that the
+    end shows at once; a longer stream is read in blocks and joined."""
+    if size is not None:
+        rest = min(rest, size)
+    parts = list(_blocks(fh, sample_rate, size, strict, (rest + 2) & ~1 if rest > 0 else BLOCK_BYTES))
+    samples = parts[0] if len(parts) == 1 else np.concatenate([np.empty(0, "<i2"), *parts])
+    return AudioClip(samples, sample_rate)
+
+
+def _blocks(fh, sample_rate: int, size: int | None, strict: bool,
+            length: int | None = None) -> Iterator[np.ndarray]:
+    """`size` bytes of `fh` (None: to its end) as int16 blocks, read into one buffer
+    of about BLOCK_BYTES in whole 60 ms that the blocks share or, given `length`,
+    each into a new buffer of `length` bytes that is the caller's to keep.
+
+    Fewer than `size` bytes is a truncated data chunk.  A last odd byte is an
+    error if `strict` (raw PCM), else dropped (a WAV's stray pad byte).
+    """
+    if length is None:
+        unit = 2 * (sample_rate * 60 // 1000 if sample_rate * 60 % 1000 == 0 else 1)
+        buf = np.empty(max(BLOCK_BYTES // unit, 1) * unit, dtype=np.uint8)
+    left = math.inf if size is None else size
+    while True:
+        if length is not None:
+            buf = np.empty(length, dtype=np.uint8)
+        view = memoryview(buf)
+        want = min(len(buf), left)
+        n = 0
+        while n < want and (got := fh.readinto(view[n:want])):
+            n += got
+        left -= n
+        if n < want and size is not None:
+            raise MalformedWavError(f"truncated chunk {b'data'!r}")
+        if n % 2 and strict:
+            raise ValueError("raw PCM16 byte count must be even")
+        if n > 1:
+            yield buf[: n & ~1].view("<i2")
+        if n < want or not left:
+            return
+
+
+def _wav_header(fh) -> tuple[int, int | None, int]:
+    """Walk the chunks of a RIFF/WAVE stream up to its first data byte: its sample
+    rate, its data size in bytes (None: the data runs to the end of the stream)
+    and the offset of that byte."""
+    head = fh.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise MalformedWavError("malformed header: not a RIFF/WAVE stream")
-
-    view = memoryview(data)  # slices share `data` instead of copying the payload
+    riff_size = struct.unpack_from("<I", head, 4)[0]
+    offset = 12
     fmt = None
-    payload = None
-    pos = 12
-    while pos + 8 <= len(data):
-        cid, size = struct.unpack_from("<4sI", data, pos)
-        pos += 8
-        body = view[pos : pos + size]
-        if len(body) < size:
+    while len(head := fh.read(8)) == 8:
+        cid, size = struct.unpack("<4sI", head)
+        offset += 8
+        if cid == b"data":
+            break
+        body = fh.read(min(size, 40))  # a fmt chunk's fields, the extensible ones too
+        left = size - len(body)
+        while left and (skipped := len(fh.read(min(left, BLOCK_BYTES)))):
+            left -= skipped
+        if left:
             raise MalformedWavError(f"truncated chunk {cid!r}")
+        fh.read(size & 1)  # chunks are word-aligned
+        offset += size + (size & 1)
         if cid == b"fmt ":
             if size < 16:
                 raise MalformedWavError("malformed fmt chunk")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
-        elif cid == b"data":
-            payload = body
-        pos += size + (size & 1)  # chunks are word-aligned
-
+            fmt = body
     if fmt is None:
         raise MalformedWavError("missing fmt chunk")
-    if payload is None:
+    if len(head) < 8:
         raise MalformedWavError("missing data chunk")
 
-    format_code, channels, sample_rate, _byte_rate, _block_align, bit_depth = fmt
+    format_code, channels, sample_rate, _byte_rate, _block_align, bit_depth = struct.unpack_from(
+        "<HHIIHH", fmt
+    )
+    if format_code == 0xFFFE and fmt[24:40] == _PCM_GUID:  # WAVE_FORMAT_EXTENSIBLE, PCM inside
+        format_code = 1
     if format_code != 1:  # WAVE_FORMAT_PCM
         raise UnsupportedWavError(f"unsupported format code {format_code} (PCM only)")
     if bit_depth != 16:
         raise UnsupportedWavError(f"unsupported bit depth {bit_depth} (16-bit only)")
     if channels != 1:
         raise UnsupportedWavError(f"unsupported channel count {channels} (mono only)")
+    sample_rate = _block_rate(sample_rate, UnsupportedWavError)
+    # An unfinalised data size runs to the end; a size of 0 is one only where the
+    # RIFF size is unfinalised too or ends here, as a chunk after empty data is no sample.
+    if size == 0xFFFFFFFF or size == 0 and (riff_size in _UNFINALISED or riff_size + 8 <= offset):
+        return sample_rate, None, offset
+    return sample_rate, size, offset
 
-    if len(payload) % 2:
-        payload = payload[:-1]  # stray pad byte
-    return payload, sample_rate
+
+def _block_rate(rate, error: type[ValueError]) -> int:
+    """`rate` checked as a clip's (see :class:`AudioClip`), and refused with `error`
+    above MAX_RATE, where 60 ms of samples would not fit one read block."""
+    rate = _check_rate(rate)
+    if rate > MAX_RATE:
+        raise error(f"unsupported sample rate {rate} Hz (at most {MAX_RATE} Hz)")
+    return rate
 
 
 def decode_pcm16(data: bytes, sample_rate: int) -> AudioClip:
     """Decode headerless little-endian PCM16 mono (a copy of `data`)."""
-    return AudioClip(_raw_pcm16(data).astype(np.int16), sample_rate)
-
-
-def _raw_pcm16(data) -> np.ndarray:
-    """The samples of headerless PCM16, viewing `data`."""
-    if len(data) % 2:
-        raise ValueError("raw PCM16 byte count must be even")
-    return np.frombuffer(data, dtype="<i2")
+    return _read_all(io.BytesIO(data), sample_rate, None, True, len(data))
 
 
 def encode_wav(clip: AudioClip) -> bytes:
@@ -220,34 +325,10 @@ def encode_wav(clip: AudioClip) -> bytes:
     return buf.getvalue()
 
 
-def read_wav(path) -> AudioClip:
-    """Read a WAV file (see :func:`decode_wav`).
-
-    The samples view the one buffer the file is read into, so reading
-    peaks at the file size rather than twice the payload.
-    """
-    payload, sample_rate = _wav_payload(_read_file(path))
-    return AudioClip(np.frombuffer(payload, dtype="<i2"), sample_rate)
-
-
 def read_pcm16(path, sample_rate: int) -> AudioClip:
     """Read a headerless PCM16 mono file (see :func:`decode_pcm16`) without a second copy."""
-    return AudioClip(_raw_pcm16(_read_file(path)), sample_rate)
-
-
-def _read_file(path) -> memoryview:
-    """The whole file in one writable buffer that only the caller holds.
-
-    The buffer is a numpy array, which numpy backs with huge pages when it
-    is large, so samples viewing it scan as fast as a copy numpy made.
-    """
     with open(path, "rb") as fh:
-        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
-        buf = buf[: fh.readinto(buf)]  # the file shrank since the stat
-        rest = fh.read()  # it grew, or is a pipe or device with no size
-    if rest:
-        buf = np.concatenate((buf, np.frombuffer(rest, dtype=np.uint8)))
-    return memoryview(buf)
+        return _read_all(fh, sample_rate, None, True, os.fstat(fh.fileno()).st_size)
 
 
 def write_wav(path, clip: AudioClip) -> None:
@@ -256,7 +337,7 @@ def write_wav(path, clip: AudioClip) -> None:
 
 def _write_wave(target, clip: AudioClip) -> None:
     import wave  # here, so that `segment`, which writes no audio, never loads it
-    with wave.open(target, "wb") as out:  # the layout `_wav_payload` reads, little-endian
+    with wave.open(target, "wb") as out:  # the layout `_wav_header` reads, little-endian
         out.setnchannels(1)
         out.setsampwidth(2)
         out.setframerate(clip.sample_rate)

@@ -23,6 +23,7 @@ import math
 import os
 import re
 import sys
+from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -30,8 +31,11 @@ from . import __version__
 if TYPE_CHECKING:
     from collections.abc import Callable
 
-    from .audio import AudioClip
+    import numpy as np
+
     from .segmenters import Segment
+
+    Finish = Callable[[float], list[Segment]]
 
 # What each strategy reads, and so what its manifest header echoes besides
 # `strategy` and `total_duration`.  Only a strategy that reads `streaming`
@@ -175,31 +179,43 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- segment -----------------------------------------------------------------
 
 
-def _segmenter(cfg: dict) -> Callable[[AudioClip], list[Segment]]:
-    """The chosen strategy as clip -> segments, its parameters built and checked now.
+def _segmenter(cfg: dict) -> Callable[[int], tuple[Callable[[np.ndarray], None], Finish]]:
+    """The chosen strategy, its parameters built and checked now, as a function of
+    a clip's sample rate that gives `push`, which takes each block of the clip's
+    samples in turn, and `finish`, which takes its duration and returns its segments.
 
     Called on the main thread before any input is opened, so a bad value
     names no audio file, and numpy is first imported here rather than in
-    several workers at once.
+    several workers at once.  No strategy keeps the samples: `fixed`
+    needs only their count, which the caller keeps; the others keep one
+    label byte a frame, or under --streaming the engine's own state.
     """
-    from .audio import iter_frames, samples_per_frame
+    from .audio import AudioClip, iter_frames, samples_per_frame
     from .segmenters import HybridParams, Segment, SrpolParams, segment_fixed, segment_srpol
     from .segmenters import segment_hybrid, segment_hybrid_force, segment_vad_merge
-    from .vad import VadConfig, classify, detect_pauses
+    from .vad import BlockLabeller, VadConfig, detect_pauses
 
     strategy, length = cfg["strategy"], cfg["length"]
     if strategy == "fixed":
         if not 0 < length < math.inf:
             raise CliError(f"--length must be positive and finite, got {length}")
-        return lambda clip: segment_fixed(clip.duration, length)
+        return lambda rate: (lambda block: None, lambda duration: segment_fixed(duration, length))
     vad_cfg = VadConfig(cfg["aggressiveness"], cfg["frame_ms"])
     if cfg["raw_rate"] is not None:
         try:
             samples_per_frame(cfg["raw_rate"], vad_cfg.frame_ms)
         except ValueError as exc:
             raise CliError(f"--raw-rate must be usable with --frame-ms: {exc}") from exc
+
+    def labelled(segment_track: Callable) -> Callable:
+        def start(rate: int):
+            labeller = BlockLabeller(vad_cfg, rate)
+            return labeller.push, lambda duration: segment_track(labeller.finish())
+
+        return start
+
     if strategy == "vad":
-        return lambda clip: segment_vad_merge(classify(clip, vad_cfg))
+        return labelled(segment_vad_merge)
     try:
         if strategy == "srpol":
             params = SrpolParams(cfg["max_len"])
@@ -209,40 +225,49 @@ def _segmenter(cfg: dict) -> Callable[[AudioClip], list[Segment]]:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    def pauses(clip: AudioClip) -> tuple[list, float]:
-        track = classify(clip, vad_cfg)
+    def pauses(track) -> tuple[list, float]:
         return detect_pauses(track, cfg["min_pause_ms"]), track.duration
 
-    def srpol(clip: AudioClip) -> list[Segment]:
-        found, duration = pauses(clip)
+    def srpol(track) -> list[Segment]:
+        found, duration = pauses(track)
         return segment_srpol(Segment(0.0, duration), found, params) if duration else []
 
-    def stream(clip: AudioClip) -> list[Segment]:
+    def stream(rate: int):
         from .streaming import StreamingSegmenter
 
+        samples_per_frame(rate, vad_cfg.frame_ms)  # a rate that does not frame fails now
         engine = StreamingSegmenter(params, vad_cfg)
-        frames = iter_frames(clip, vad_cfg.frame_ms)
-        return [seg for frame in frames for seg in engine.push_frame(frame)] + engine.flush()
+        segments = []
+
+        def push(block: np.ndarray) -> None:
+            frames = iter_frames(AudioClip(block, rate), vad_cfg.frame_ms, engine.frames_pushed)
+            segments.extend(seg for frame in frames for seg in engine.push_frame(frame))
+
+        return push, lambda duration: segments + engine.flush()
 
     if strategy == "srpol":
-        return srpol
+        return labelled(srpol)
     if cfg["streaming"]:
         return stream
     scan = segment_hybrid_force if params.force_split else segment_hybrid
-    return lambda clip: scan(*pauses(clip), params)
+    return labelled(lambda track: scan(*pauses(track), params))
 
 
 def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
-    from .audio import read_pcm16, read_wav
+    from .audio import iter_pcm16_chunks, iter_wav_chunks
     from .manifest import render_manifest, segments_to_entries, write_manifest
 
-    strategy, frame_ms = cfg["strategy"], cfg["frame_ms"]
+    strategy, frame_ms, raw_rate = cfg["strategy"], cfg["frame_ms"], cfg["raw_rate"]
     reads = READS[strategy]
     for key in ("jobs", "raw_rate"):
         if cfg[key] is not None and cfg[key] < 1:
             raise CliError(f"{_flag(key)} must be at least 1, got {cfg[key]}")
+    if args.inputs.count("-") > 1:
+        raise CliError("standard input ('-') can be read only once")
+    if "-" in args.inputs and sys.stdin is None:  # the process started with fd 0 closed
+        raise CliError("cannot read -: standard input is closed")
     if cfg["streaming"] and "streaming" not in reads:
         if strategy == "srpol":
             raise CliError("strategy requires full audio: srpol cannot run with --streaming")
@@ -260,20 +285,31 @@ def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
     segment = _segmenter(cfg)
 
     def process(path: str) -> tuple[float, list]:
+        """Decode `path` block by block into the strategy; a header's faults are
+        reported before its rate is found not to frame, and that before the data is read."""
         try:
-            clip = read_wav(path) if cfg["raw_rate"] is None else read_pcm16(path, cfg["raw_rate"])
+            with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
+                rate, blocks = (iter_wav_chunks(fh) if raw_rate is None
+                                else iter_pcm16_chunks(fh, raw_rate))
+                try:
+                    push, finish = segment(rate)
+                except ValueError as exc:  # the rate does not frame
+                    raise CliError(f"{path}: {exc}") from exc
+                n_samples = 0
+                for block in blocks:
+                    push(block)
+                    n_samples += len(block)
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc}") from exc
         except ValueError as exc:  # WavError too
             raise CliError(f"cannot decode {path}: {exc}") from exc
+        duration = n_samples / rate
         try:
-            segments = segment(clip)
+            segments = finish(duration)
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from exc
         name = os.path.basename(path)
-        return clip.duration, segments_to_entries(
-            segments, name, clip.duration, cfg["emit_dropped"]
-        )
+        return duration, segments_to_entries(segments, name, duration, cfg["emit_dropped"])
 
     workers = cfg["jobs"] or min(len(args.inputs), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -23,10 +23,13 @@ with WebRTC; only the parameter surface (mode x frame size) matches.
 
 The rules have two implementations that give bit-identical labels:
 :meth:`EnergyVad.step`, a per-frame automaton that the streaming engine
-drives, and batch :func:`classify`, which applies them to a whole clip
-with array operations.  Batch memory is bounded: beyond the clip itself
-it holds a few arrays of one value per frame and the ranks of one chunk
-of FLOOR_CHUNK windows, never an int64 copy of the samples.  Its floors
+drives, and :class:`BlockLabeller`, which applies them with array
+operations to a clip that arrives in blocks of samples; batch
+:func:`classify` is it fed one block.  Batch memory is bounded: beyond
+the block in hand it holds one label byte per frame, the energies of one
+block and of fewer than FLOOR_CHUNK + FLOOR_WINDOW frames waiting for a
+floor, and the ranks of one chunk of FLOOR_CHUNK windows, never an int64
+copy of the samples.  Its floors
 follow van Herk's and Gil & Werman's block filter, widened from the
 minimum to the _FLOOR_LO + 2 smallest values: a window is one block's
 suffix joined with the next block's prefix, one sorted-insertion sweep
@@ -165,19 +168,23 @@ def frame_energy(samples: np.ndarray) -> float:
 
 
 def frame_energies(clip: AudioClip, frame_ms: int) -> np.ndarray:
-    """Per-frame energies, bit-identical to :func:`frame_energy` of each frame.
+    """Per-frame energies, bit-identical to :func:`frame_energy` of each frame."""
+    return _energies(clip.samples, samples_per_frame(clip.sample_rate, frame_ms))
+
+
+def _energies(samples: np.ndarray, spf: int) -> np.ndarray:
+    """Energies of `spf`-sample frames of `samples`.
 
     einsum squares and sums the int16 samples in int64 through its own
     small buffer, so no int64 copy of the clip is made; the trailing
     partial frame is summed on its own (its zero padding adds nothing).
     """
-    spf = samples_per_frame(clip.sample_rate, frame_ms)
-    full = len(clip.samples) // spf
-    sums = np.empty(-(-len(clip.samples) // spf), dtype=np.int64)
-    whole = clip.samples[: full * spf].reshape(full, spf)
+    full = len(samples) // spf
+    sums = np.empty(-(-len(samples) // spf), dtype=np.int64)
+    whole = samples[: full * spf].reshape(full, spf)
     sums[:full] = np.einsum("ij,ij->i", whole, whole, dtype=np.int64)
     if len(sums) > full:
-        rest = clip.samples[full * spf :].astype(np.int64)
+        rest = samples[full * spf :].astype(np.int64)
         sums[full] = rest @ rest
     return sums / spf
 
@@ -224,13 +231,15 @@ class EnergyVad:
         return False
 
 
-def _noise_floors(energies: np.ndarray) -> np.ndarray:
-    """The clamped noise floor in force at each frame, as :meth:`EnergyVad.step` sees it."""
-    floors = np.empty_like(energies)
-    cold = min(len(energies), FLOOR_WINDOW - 1)
-    floors[:cold] = np.minimum.accumulate(energies[:cold]) + COLD_START_EPS
-    n_windows = len(energies) - FLOOR_WINDOW + 1  # window j ends at frame cold + j
-    for j in range(0, max(n_windows, 0), FLOOR_CHUNK):
+def _noise_floors(energies: np.ndarray, lead: int = 0) -> np.ndarray:
+    """The clamped noise floor in force at each frame after the first `lead`, as
+    :meth:`EnergyVad.step` sees it.  The lead frames are history: all the stream's
+    frames before, or the last FLOOR_WINDOW - 1 of them."""
+    n_windows = max(len(energies) - FLOOR_WINDOW + 1, 0)  # window j ends at energies[j + 99]
+    cold = len(energies) - lead - n_windows
+    floors = np.empty(len(energies) - lead)
+    floors[:cold] = np.minimum.accumulate(energies[: lead + cold])[lead:] + COLD_START_EPS
+    for j in range(0, n_windows, FLOOR_CHUNK):
         n = min(FLOOR_CHUNK, n_windows - j)
         floors[cold + j : cold + j + n] = _window_floors(energies[j : j + n + FLOOR_WINDOW - 1])
     return np.clip(floors, FLOOR_MIN, FLOOR_MAX, out=floors)
@@ -267,11 +276,57 @@ def classify(clip: AudioClip, config: VadConfig) -> FrameLabelTrack:
     than `hangover` frames after the last raw-speech frame.  Framing
     errors (rate not divisible into frames) propagate from the audio layer.
     """
-    energies = frame_energies(clip, config.frame_ms)
-    raw = energies > _noise_floors(energies) * config.multiplier
-    t = np.arange(len(raw))
-    last_raw = np.maximum.accumulate(np.where(raw, t, -config.hangover - 1))
-    return FrameLabelTrack(t - last_raw <= config.hangover, config.frame_ms)
+    labeller = BlockLabeller(config, clip.sample_rate)
+    labeller.push(clip.samples)
+    return labeller.finish()
+
+
+class BlockLabeller:
+    """:func:`classify` of a clip that arrives in blocks of samples.
+
+    Every block but the last must hold whole frames.  Between blocks it
+    holds the energies of the last FLOOR_WINDOW - 1 labelled frames, the
+    newest raw-speech frame, the energies still waiting for a floor (fewer
+    than FLOOR_CHUNK) and one label byte per frame.  Floors are computed
+    FLOOR_CHUNK frames at a time, whatever the block size: each call of
+    the block filter makes some 200 numpy calls, which --jobs threads
+    contend for.  The labels do not depend on where the clip is cut.
+    """
+
+    def __init__(self, config: VadConfig, sample_rate: int):
+        self.config = config
+        self._spf = samples_per_frame(sample_rate, config.frame_ms)
+        self._energies = np.empty(0)  # min(labelled, FLOOR_WINDOW - 1) history, then the waiting
+        self._labelled = 0
+        self._last_raw = -config.hangover - 1
+        self._labels: list[np.ndarray] = []
+        self._ragged = False  # the last block ended inside a frame
+
+    def push(self, samples: np.ndarray) -> None:
+        if self._ragged:
+            raise ValueError("only the last block may end inside a frame")
+        self._ragged = len(samples) % self._spf > 0
+        self._energies = np.concatenate((self._energies, _energies(samples, self._spf)))
+        self._label(FLOOR_CHUNK)
+
+    def finish(self) -> FrameLabelTrack:
+        self._label(1)
+        labels = np.concatenate([np.zeros(0, bool), *self._labels])
+        return FrameLabelTrack(labels, self.config.frame_ms)
+
+    def _label(self, least: int) -> None:
+        """Label the waiting frames, FLOOR_CHUNK at a time, while `least` or more wait."""
+        e, lead = self._energies, min(self._labelled, FLOOR_WINDOW - 1)
+        while len(e) - lead >= least:
+            n = min(len(e) - lead, FLOOR_CHUNK)
+            raw = e[lead : lead + n] > _noise_floors(e[: lead + n], lead) * self.config.multiplier
+            t = np.arange(self._labelled, self._labelled + n)
+            last_raw = np.maximum.accumulate(np.where(raw, t, self._last_raw))
+            self._labels.append(t - last_raw <= self.config.hangover)
+            self._labelled, self._last_raw = self._labelled + n, int(last_raw[-1])
+            keep = min(self._labelled, FLOOR_WINDOW - 1)
+            e, lead = e[lead + n - keep :], keep
+        self._energies = e
 
 
 def detect_pauses(track: FrameLabelTrack, min_pause_ms: int | None = None) -> list[Pause]:

@@ -1,3 +1,4 @@
+import io
 import os
 import struct
 import threading
@@ -18,7 +19,9 @@ from pausecut import (
     read_wav,
     write_wav,
 )
-from pausecut.audio import Frame, frame_time, read_pcm16, samples_per_frame
+from pausecut import audio
+from pausecut.audio import Frame, frame_time, iter_pcm16_chunks, iter_wav_chunks, read_pcm16
+from pausecut.audio import samples_per_frame
 
 from conftest import clip_from, talk_clip, tone
 
@@ -32,6 +35,27 @@ def wav_bytes(samples: np.ndarray, rate: int = 16000, channels: int = 1,
         b"fmt ", 16, fmt_code, channels, rate, rate * 2 * channels, 2 * channels, bits,
         b"data", len(payload),
     ) + payload
+
+
+def extensible_wav(samples: np.ndarray, subformat: bytes = audio._PCM_GUID, rate: int = 16000) -> bytes:
+    """A WAVE_FORMAT_EXTENSIBLE mono file, as capture tools write: 40-byte fmt chunk."""
+    payload = np.asarray(samples, dtype="<i2").tobytes()
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, rate, rate * 2, 2, 16, 22, 16, 4) + subformat
+    return (struct.pack("<4sI4s4sI", b"RIFF", 4 + 8 + len(fmt) + 8 + len(payload), b"WAVE", b"fmt ", len(fmt))
+            + fmt + struct.pack("<4sI", b"data", len(payload)) + payload)
+
+
+def with_data_size(data: bytes, size: int, riff_size: int | None = None) -> bytes:
+    """A canonical 44-byte-header WAV with its data size field (and its RIFF size
+    field, if given) replaced."""
+    riff = data[4:8] if riff_size is None else struct.pack("<I", riff_size)
+    return data[:4] + riff + data[8:40] + struct.pack("<I", size) + data[44:]
+
+
+def read_blocks(data: bytes) -> tuple[int, np.ndarray]:
+    """The rate and the concatenated blocks of `iter_wav_chunks` over `data`."""
+    rate, blocks = iter_wav_chunks(io.BytesIO(data))
+    return rate, np.concatenate([np.zeros(0, np.int16), *(block.copy() for block in blocks)])
 
 
 # A data chunk with no fmt chunk before it, and a fmt chunk 2 bytes short of PCM's 16.
@@ -192,10 +216,16 @@ class TestReadFile:
             with pytest.raises(type(exc)) as got:
                 read_wav(path)
             assert str(got.value) == str(exc)
+            with pytest.raises(type(exc)) as got:  # the block reader, in its header or at the end
+                read_blocks(data)
+            assert str(got.value) == str(exc)
         else:
             clip = read_wav(path)
             assert clip.sample_rate == expected.sample_rate
             assert np.array_equal(clip.samples, expected.samples)
+            rate, samples = read_blocks(data)
+            assert rate == expected.sample_rate
+            assert np.array_equal(samples, expected.samples)
 
     def test_read_pcm16_from_pipe(self, tmp_path):
         # a pipe reports no size up front
@@ -216,6 +246,132 @@ class TestReadFile:
         path.write_bytes(b"\x00\x01\x02")
         with pytest.raises(ValueError, match="even"):
             read_pcm16(path, 16000)
+
+
+class TestCaptureToolHeaders:
+    """What capture tools write: the extensible format, and headers never finalised."""
+
+    def test_extensible_pcm_accepted(self, tmp_path):
+        samples = np.array([1, -2, 3, 32767, -32768], dtype=np.int16)
+        data = extensible_wav(samples, rate=48000)
+        (tmp_path / "x.wav").write_bytes(data)
+        for clip in (decode_wav(data), read_wav(tmp_path / "x.wav")):
+            assert clip.sample_rate == 48000 and np.array_equal(clip.samples, samples)
+        assert read_blocks(data)[0] == 48000 and np.array_equal(read_blocks(data)[1], samples)
+
+    def test_extensible_non_pcm_keeps_the_format_error(self):
+        float_guid = bytes.fromhex("0300000000001000800000aa00389b71")
+        no_guid = wav_bytes(np.zeros(4, dtype=np.int16), fmt_code=0xFFFE)  # a 16-byte fmt chunk
+        for data in (extensible_wav(np.zeros(4), float_guid), no_guid):
+            with pytest.raises(UnsupportedWavError, match=r"^unsupported format code 65534 \(PCM only\)$"):
+                decode_wav(data)
+            with pytest.raises(UnsupportedWavError, match=r"^unsupported format code 65534"):
+                read_blocks(data)
+
+    @pytest.mark.parametrize(
+        "riff_size, size",
+        [(None, 0xFFFFFFFF), (0xFFFFFFFF, 0xFFFFFFFF), (0, 0), (0xFFFFFFFF, 0), (36, 0)],
+        ids=["all-ones", "both-all-ones", "both-zero", "riff-all-ones", "header-only-sizes"],
+    )
+    def test_unfinalised_data_size_reads_to_the_end(self, tmp_path, riff_size, size):
+        # (36, 0): the sizes of a header written before any data and never patched
+        samples = np.arange(-700, 700, 3, dtype=np.int16)
+        data = with_data_size(wav_bytes(samples), size, riff_size)
+        (tmp_path / "x.wav").write_bytes(data)
+        for clip in (decode_wav(data), read_wav(tmp_path / "x.wav")):
+            assert np.array_equal(clip.samples, samples)
+        assert np.array_equal(read_blocks(data)[1], samples)
+        odd = data + b"\x01"  # a stray last byte is dropped, as a pad byte is
+        assert np.array_equal(decode_wav(odd).samples, samples)
+        assert np.array_equal(read_blocks(odd)[1], samples)
+
+    @pytest.mark.parametrize("size", [0, 0xFFFFFFFF], ids=["zero", "all-ones"])
+    def test_unfinalised_empty_wav_decodes_empty(self, size):
+        data = with_data_size(wav_bytes(np.zeros(0, dtype=np.int16)), size)
+        assert len(decode_wav(data)) == 0
+        rate, samples = read_blocks(data)
+        assert rate == 16000 and len(samples) == 0
+
+    def test_empty_data_then_a_list_chunk_decodes_empty(self, tmp_path):
+        # a finalised file whose RIFF size covers a chunk after its empty data
+        info = struct.pack("<4sI4s4sI", b"LIST", 14, b"INFO", b"ISFT", 2) + b"x\x00"
+        data = wav_bytes(np.zeros(0, dtype=np.int16)) + info
+        data = data[:4] + struct.pack("<I", len(data) - 8) + data[8:]
+        (tmp_path / "x.wav").write_bytes(data)
+        for clip in (decode_wav(data), read_wav(tmp_path / "x.wav")):
+            assert clip.sample_rate == 16000 and len(clip) == 0
+        assert len(read_blocks(data)[1]) == 0
+
+    def test_rate_above_one_block_refused(self):
+        ok = wav_bytes(np.zeros(4, dtype=np.int16), rate=audio.MAX_RATE)
+        assert decode_wav(ok).sample_rate == read_blocks(ok)[0] == audio.MAX_RATE
+        data = wav_bytes(np.zeros(4, dtype=np.int16), rate=2_000_000_000)  # frames: 240 MB blocks
+        message = rf"^unsupported sample rate 2000000000 Hz \(at most {audio.MAX_RATE} Hz\)$"
+        for read in (decode_wav, read_blocks):
+            with pytest.raises(UnsupportedWavError, match=message):
+                read(data)
+        with pytest.raises(ValueError, match=r"^unsupported sample rate 9000000 Hz"):
+            iter_pcm16_chunks(io.BytesIO(b""), 9_000_000)
+
+
+class TestBlockReader:
+    @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100, 48000, 8001])
+    def test_blocks_hold_whole_frames_and_tile_the_clip(self, monkeypatch, rate):
+        monkeypatch.setattr(audio, "BLOCK_BYTES", 20_000)
+        samples = np.random.default_rng(rate).integers(-32768, 32768, 3 * 10_000 + 77).astype(np.int16)
+        data = wav_bytes(samples, rate)
+        got_rate, blocks = iter_wav_chunks(io.BytesIO(data))
+        sizes, parts = [], []
+        for block in blocks:
+            sizes.append(len(block))
+            parts.append(block.copy())
+        assert got_rate == rate and np.array_equal(np.concatenate(parts), samples)
+        assert len(sizes) > 2 and len(set(sizes[:-1])) == 1 and sizes[0] <= 10_000
+        for frame_ms in (10, 20, 30):
+            if rate * frame_ms % 1000 == 0:
+                assert sizes[0] % samples_per_frame(rate, frame_ms) == 0
+
+    def test_blocks_share_one_buffer(self, monkeypatch):
+        monkeypatch.setattr(audio, "BLOCK_BYTES", 2000)
+        _, blocks = iter_wav_chunks(io.BytesIO(wav_bytes(np.arange(5000, dtype=np.int16))))
+        first = next(blocks)
+        second = next(blocks)
+        assert np.shares_memory(first, second)
+
+    def test_truncated_data_fails_after_the_blocks_before_it(self, monkeypatch):
+        monkeypatch.setattr(audio, "BLOCK_BYTES", 2000)
+        data = wav_bytes(np.ones(5000, dtype=np.int16))[:-10]
+        _, blocks = iter_wav_chunks(io.BytesIO(data))
+        assert len(next(blocks)) == 960  # the header walk found nothing wrong
+        with pytest.raises(MalformedWavError, match=r"^truncated chunk b'data'$"):
+            list(blocks)
+
+    def test_raw_blocks_and_odd_count(self, monkeypatch):
+        monkeypatch.setattr(audio, "BLOCK_BYTES", 2000)
+        samples = np.arange(-2500, 2500, dtype=np.int16)
+        rate, blocks = iter_pcm16_chunks(io.BytesIO(samples.tobytes()), 16000)
+        assert rate == 16000 and np.array_equal(np.concatenate([b.copy() for b in blocks]), samples)
+        _, blocks = iter_pcm16_chunks(io.BytesIO(samples.tobytes() + b"\x00"), 16000)
+        with pytest.raises(ValueError, match="^raw PCM16 byte count must be even$"):
+            list(blocks)
+        with pytest.raises(ValueError, match="sample_rate must be a positive integer"):
+            iter_pcm16_chunks(io.BytesIO(b""), 0)
+
+    def test_wav_from_pipe_with_unfinalised_size(self, tmp_path):
+        samples = np.arange(-30000, 30000, 7, dtype=np.int16)
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        data = with_data_size(wav_bytes(samples), 0xFFFFFFFF)
+        writer = threading.Thread(target=path.write_bytes, args=(data,))
+        writer.start()
+        try:
+            with open(path, "rb") as fh:
+                rate, blocks = iter_wav_chunks(fh)
+                got = np.concatenate([block.copy() for block in blocks])
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert rate == 16000 and np.array_equal(got, samples)
 
 
 class TestFrames:

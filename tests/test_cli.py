@@ -1,7 +1,12 @@
 import argparse
+import io
 import json
 import math
 import os
+import struct
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,8 +14,8 @@ import pytest
 from pausecut import HybridParams, Segment, SrpolParams, VadConfig, classify, compute_stats
 from pausecut import detect_pauses, read_wav, segment_fixed, segment_hybrid, segment_hybrid_force
 from pausecut import segment_srpol, segment_vad_merge, write_wav
-from pausecut import cli, manifest
-from pausecut.cli import main
+from pausecut import audio, cli, encode_wav, manifest
+from pausecut.cli import STRATEGIES, main
 from pausecut.manifest import entries_to_segments, read_manifest, render_manifest, ManifestEntry
 from pausecut.metrics import boundary_prf, stats_rows
 
@@ -1039,6 +1044,186 @@ class TestParallelSegment:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"pausecut: error: cannot decode {bad}: ")
         assert str(talk_wav) not in captured.err and captured.out == ""
+
+
+STRATEGY_ARGS = [["--strategy", s] for s in STRATEGIES] + [
+    ["--strategy", "hybrid", "--streaming"], ["--strategy", "hybrid-force", "--streaming"]
+]
+STRATEGY_IDS = [" ".join(a[1:]) for a in STRATEGY_ARGS]
+
+
+def feed_stdin(monkeypatch, data: bytes) -> io.BytesIO:
+    stdin = io.BytesIO(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(stdin))
+    return stdin
+
+
+def src_env() -> dict:
+    import pausecut
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pausecut.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+class TestBlockInput:
+    """`segment` reads each input in blocks: from files, pipes and standard input."""
+
+    @pytest.mark.parametrize("argv", STRATEGY_ARGS, ids=STRATEGY_IDS)
+    def test_block_size_does_not_change_the_manifest(self, talk_wav, monkeypatch, capsys, argv):
+        monkeypatch.setattr(audio, "BLOCK_BYTES", 4 << 20)  # the whole 45 s talk in one block
+        assert run(["segment", *argv, "--emit-dropped", talk_wav]) == 0
+        whole = capsys.readouterr().out
+        for block_bytes in (640, 7_000, 99_999):
+            monkeypatch.setattr(audio, "BLOCK_BYTES", block_bytes)
+            assert run(["segment", *argv, "--emit-dropped", talk_wav]) == 0
+            assert capsys.readouterr().out == whole
+
+    @pytest.mark.parametrize("fmt", ["yaml", "jsonl"])
+    @pytest.mark.parametrize("raw", [False, True], ids=["wav", "raw"])
+    def test_dash_reads_standard_input(self, talk_wav, tmp_path, monkeypatch, fmt, raw):
+        source = talk_wav
+        if raw:
+            source = tmp_path / "talk.pcm"
+            source.write_bytes(read_wav(talk_wav).samples.tobytes())
+        argv = ["segment", "--format", fmt, "--emit-dropped"] + (["--raw-rate", "16000"] if raw else [])
+        assert run([*argv, "-o", tmp_path / "file.m", source]) == 0
+        feed_stdin(monkeypatch, source.read_bytes())
+        assert run([*argv, "-o", tmp_path / "stdin.m", "-"]) == 0
+        (file_entries, file_header), (entries, header) = map(
+            read_manifest, (tmp_path / "file.m", tmp_path / "stdin.m")
+        )
+        assert header == file_header and len(entries) >= 3
+        assert {e.wav for e in entries} == {"-"}
+        assert [(e.offset, e.duration, e.dropped) for e in entries] == [
+            (e.offset, e.duration, e.dropped) for e in file_entries
+        ]
+
+    def test_second_dash_refused_before_any_input_is_read(self, tmp_path, monkeypatch, capsys):
+        stdin = feed_stdin(monkeypatch, b"RIFF")
+        assert run(["segment", tmp_path / "missing.wav", "-", "-"]) == 1
+        assert capsys.readouterr().err == "pausecut: error: standard input ('-') can be read only once\n"
+        assert stdin.tell() == 0
+
+    def test_closed_standard_input(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", None)  # what Python sets when fd 0 is closed
+        assert run(["segment", "-"]) == 1
+        assert capsys.readouterr().err == "pausecut: error: cannot read -: standard input is closed\n"
+
+    def test_fifo_path(self, talk_wav, tmp_path, capsys):
+        fifo = tmp_path / "pipe" / "talk.wav"  # the same name, so the same manifest bytes
+        fifo.parent.mkdir()
+        os.mkfifo(fifo)
+        assert run(["segment", talk_wav]) == 0
+        from_file = capsys.readouterr().out
+        writer = threading.Thread(target=fifo.write_bytes, args=(talk_wav.read_bytes(),))
+        writer.start()
+        try:
+            assert run(["segment", fifo]) == 0
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert capsys.readouterr().out == from_file
+
+    @pytest.mark.parametrize("argv", STRATEGY_ARGS, ids=STRATEGY_IDS)
+    def test_error_at_end_of_data_writes_no_manifest(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setattr(audio, "BLOCK_BYTES", 4000)  # many blocks go in before the error
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(encode_wav(clip_from(tone(3.0), silence(1.0), tone(2.0)))[:-3])
+        out = tmp_path / "m.yaml"
+        assert run(["segment", *argv, "-o", out, bad]) == 1
+        assert capsys.readouterr().err == f"pausecut: error: cannot decode {bad}: truncated chunk b'data'\n"
+        assert not out.exists()
+
+    def test_odd_raw_byte_count_on_standard_input(self, monkeypatch, capsys):
+        feed_stdin(monkeypatch, bytes(64_001))
+        assert run(["segment", "--raw-rate", "16000", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "pausecut: error: cannot decode -: raw PCM16 byte count must be even\n"
+        assert captured.out == ""
+
+    def test_rate_that_does_not_frame_reported_before_the_data_is_read(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        wav = tmp_path / "odd-rate.wav"
+        data = encode_wav(audio.AudioClip(np.ones(30_000, dtype=np.int16), 22050))
+        framing = f"pausecut: error: {wav}: incompatible rate/frame"
+        for body in (data, data[:-7]):  # a truncated end is never reached
+            wav.write_bytes(body)
+            assert run(["segment", "--frame-ms", "10", wav]) == 1
+            assert capsys.readouterr().err.startswith(framing)
+        stdin = feed_stdin(monkeypatch, data)  # as on a live pipe, the data stays unread
+        assert run(["segment", "--frame-ms", "10", "-"]) == 1
+        assert capsys.readouterr().err.startswith("pausecut: error: -: incompatible rate/frame")
+        assert stdin.tell() < 100
+        stereo = data[:22] + struct.pack("<H", 2) + data[24:]  # a header fault comes first
+        wav.write_bytes(stereo)
+        assert run(["segment", "--frame-ms", "10", wav]) == 1
+        assert capsys.readouterr().err == (
+            f"pausecut: error: cannot decode {wav}: unsupported channel count 2 (mono only)\n"
+        )
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_first_failing_input_named(self, talk_wav, tmp_path, capsys, jobs):
+        bad1, bad2 = tmp_path / "bad1.wav", tmp_path / "bad2.wav"
+        bad1.write_bytes(b"RIFF....WAVE")
+        bad2.write_bytes(b"OggS")
+        assert run(["segment", "--jobs", jobs, talk_wav, bad1, bad2]) == 1
+        assert capsys.readouterr().err == f"pausecut: error: cannot decode {bad1}: missing fmt chunk\n"
+
+
+# Writes SECONDS of a 7 s speech-and-pause pattern to stdout as a WAV whose
+# data size was never finalised, so nothing ever holds the whole stream.
+# The pattern has two pauses per 7 s (about 1,000 an hour).  What this bounds
+# is the audio: the pause list itself still grows with the input, by some
+# 0.6 kB a pause, so denser pauses over longer inputs show that growth.
+GENERATOR = """
+import struct, sys
+import numpy as np
+seconds, rate = int(sys.argv[1]), 16000
+rng = np.random.default_rng(0)
+t = np.arange(7 * rate) / rate
+speech = (t % 7 < 2.0) | ((t % 7 >= 2.5) & (t % 7 < 5.5))
+pattern = rng.normal(0, 40, len(t)) + speech * 9000 * np.sin(2 * np.pi * 300 * t)
+pattern = pattern.astype("<i2").tobytes()
+out = sys.stdout.buffer
+out.write(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 0xFFFFFFFF, b"WAVE", b"fmt ", 16, 1, 1,
+                      rate, 2 * rate, 2, 16, b"data", 0xFFFFFFFF))
+for _ in range(seconds // 7):
+    out.write(pattern)
+"""
+# Runs the CLI, then prints its peak RSS in kB: VmHWM, which starts afresh at
+# exec, where ru_maxrss keeps the peak of the forking test process.
+MEASURED = (
+    "import re, sys; from pausecut.cli import main; code = main(sys.argv[1:]); "
+    "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1]); sys.exit(code)"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+class TestMemoryBound:
+    def peak_rss_kb(self, tmp_path, seconds: int, argv: list[str]) -> int:
+        env = src_env()
+        gen = subprocess.Popen([sys.executable, "-c", GENERATOR, str(seconds)], stdout=subprocess.PIPE)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", MEASURED, "segment", *argv, "-o", str(tmp_path / "m.yaml"), "-"],
+                stdin=gen.stdout, capture_output=True, text=True, env=env, timeout=300,
+            )
+        finally:
+            gen.stdout.close()
+            gen.wait(timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        entries, header = read_manifest(tmp_path / "m.yaml")
+        assert float(header["total_duration"]) == seconds // 7 * 7 and entries
+        return int(proc.stdout)
+
+    @pytest.mark.parametrize("argv", [["--strategy", "hybrid-force"], ["--strategy", "vad"]])
+    def test_peak_rss_does_not_grow_with_the_input(self, tmp_path, argv):
+        short = self.peak_rss_kb(tmp_path, 120, argv)
+        long = self.peak_rss_kb(tmp_path, 3600, argv)
+        assert abs(long - short) < 5 * 1024, (short, long)
 
 
 class TestMistypedManifest:

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from pausecut import AudioClip, FrameLabelTrack, Pause, VadConfig, classify, detect_pauses
+from pausecut import vad
 from pausecut.audio import iter_frames
 from pausecut.vad import (
     FLOOR_CHUNK,
     FLOOR_MAX,
     FLOOR_MIN,
     FLOOR_WINDOW,
+    BlockLabeller,
     EnergyVad,
     _noise_floors,
     frame_energies,
@@ -120,6 +122,53 @@ class TestClassify:
         clip = AudioClip(np.zeros(441, dtype=np.int16), 22050)
         with pytest.raises(ValueError, match="incompatible rate/frame"):
             classify(clip, VadConfig(2, 10))
+
+
+def random_blocks(rng, samples: np.ndarray, spf: int) -> list[np.ndarray]:
+    """`samples` cut at random whole-frame points, empty blocks included; the last
+    block takes the rest, a partial frame too."""
+    n_frames = len(samples) // spf
+    cuts = np.sort(rng.integers(0, n_frames + 1, int(rng.integers(0, 12)))) * spf
+    return np.split(samples, cuts)
+
+
+class TestBlockLabeller:
+    @pytest.mark.parametrize("rate,frame_ms", RATE_FRAME)
+    @pytest.mark.parametrize("tail", ["partial", "under-one-frame", "multiple"])
+    def test_blocks_label_like_classify_and_step(self, rng, monkeypatch, rate, frame_ms, tail):
+        spf = rate * frame_ms // 1000
+        for chunk in [FLOOR_CHUNK, 1, 37, 250] * 2:  # small chunks: a floor and a hangover carried often
+            monkeypatch.setattr(vad, "FLOOR_CHUNK", chunk)
+            sizes = [0, 1, 2, 50, 99, 100, 101, 400] + [CHUNK_EDGE + 3] * (chunk == FLOOR_CHUNK)
+            n_frames = int(rng.choice(sizes))
+            n_samples = {
+                "partial": n_frames * spf + int(rng.integers(1, spf)),
+                "under-one-frame": int(rng.integers(0, spf)),
+                "multiple": n_frames * spf,
+            }[tail]
+            clip = noisy_clip(rng, n_samples, rate, float(rng.choice([0.0, 25.0, 2000.0])))
+            energies = frame_energies(clip, frame_ms).tolist()
+            for mode in range(4):
+                cfg = VadConfig(mode, frame_ms)
+                want = classify(clip, cfg).labels.tolist()
+                assert want == step_labels(energies, cfg)
+                labeller = BlockLabeller(cfg, rate)
+                for block in random_blocks(rng, clip.samples, spf):
+                    labeller.push(block)
+                got = labeller.finish()
+                assert got.labels.tolist() == want and got.frame_ms == frame_ms
+
+    def test_only_the_last_block_may_end_inside_a_frame(self):
+        labeller = BlockLabeller(VadConfig(), 16000)
+        labeller.push(np.zeros(320 * 3, dtype=np.int16))
+        labeller.push(np.zeros(100, dtype=np.int16))
+        with pytest.raises(ValueError, match="only the last block"):
+            labeller.push(np.zeros(320, dtype=np.int16))
+        assert labeller.finish().total_frames == 4
+
+    def test_framing_errors_raised_at_construction(self):
+        with pytest.raises(ValueError, match="incompatible rate/frame"):
+            BlockLabeller(VadConfig(2, 10), 22050)
 
 
 def random_energies(rng, n: int, kind: int) -> np.ndarray:
