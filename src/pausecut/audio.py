@@ -44,9 +44,11 @@ def frame_time(index: int, frame_ms: int) -> float:
 
 
 def as_int16(samples) -> np.ndarray:
-    """`samples` as int16 PCM.  An int16 array is taken as it is (no value scan), other
-    integers once checked to fit; floats and bools, which a cast truncates, are refused."""
+    """`samples` as mono int16 PCM.  A 1-D int16 array is taken as it is (no value scan),
+    other integers once checked to fit; floats and bools, which a cast truncates, are refused."""
     a = np.asarray(samples)
+    if a.ndim != 1:
+        raise ValueError(f"samples must be one-dimensional (mono), got shape {a.shape}")
     if a.dtype == np.int16:
         return a
     if a.dtype.kind not in "iu":
@@ -56,11 +58,11 @@ def as_int16(samples) -> np.ndarray:
     return a.astype(np.int16)
 
 
-def _check_rate(rate) -> int:
-    """`rate` as a positive int, or ValueError: `wave` would round a float or take
+def _check_rate(rate, error: type[ValueError] = ValueError) -> int:
+    """`rate` as a positive int, or `error`: `wave` would round a float or take
     True as 1, and a numpy rate would overflow its dtype in frame math."""
     if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or rate <= 0:
-        raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")
+        raise error(f"sample_rate must be a positive integer, got {rate!r}")
     return int(rate)
 
 
@@ -73,8 +75,6 @@ class AudioClip:
 
     def __post_init__(self) -> None:
         self.samples = as_int16(self.samples)
-        if self.samples.ndim != 1:
-            raise ValueError("AudioClip is mono: samples must be one-dimensional")
         self.sample_rate = _check_rate(self.sample_rate)
 
     @property
@@ -205,7 +205,7 @@ def iter_wav_chunks(fh) -> tuple[int, Iterator[np.ndarray]]:
 def iter_pcm16_chunks(fh, sample_rate: int) -> tuple[int, Iterator[np.ndarray]]:
     """Headerless PCM16 mono from `fh` as :func:`iter_wav_chunks` gives a WAV's;
     an odd byte count is an error at the end of the stream."""
-    sample_rate = _block_rate(sample_rate, ValueError)
+    sample_rate = block_rate(sample_rate)
     return sample_rate, _blocks(fh, sample_rate, None, True)
 
 
@@ -296,7 +296,7 @@ def _wav_header(fh) -> tuple[int, int | None, int]:
         raise UnsupportedWavError(f"unsupported bit depth {bit_depth} (16-bit only)")
     if channels != 1:
         raise UnsupportedWavError(f"unsupported channel count {channels} (mono only)")
-    sample_rate = _block_rate(sample_rate, UnsupportedWavError)
+    sample_rate = block_rate(sample_rate, UnsupportedWavError)
     # An unfinalised data size runs to the end; a size of 0 is one only where the
     # RIFF size is unfinalised too or ends here, as a chunk after empty data is no sample.
     if size == 0xFFFFFFFF or size == 0 and (riff_size in _UNFINALISED or riff_size + 8 <= offset):
@@ -304,10 +304,10 @@ def _wav_header(fh) -> tuple[int, int | None, int]:
     return sample_rate, size, offset
 
 
-def _block_rate(rate, error: type[ValueError]) -> int:
-    """`rate` checked as a clip's (see :class:`AudioClip`), and refused with `error`
-    above MAX_RATE, where 60 ms of samples would not fit one read block."""
-    rate = _check_rate(rate)
+def block_rate(rate, error: type[ValueError] = ValueError) -> int:
+    """`rate` checked as a clip's (see :class:`AudioClip`) and at most MAX_RATE,
+    where 60 ms of samples still fit one read block; else `error`."""
+    rate = _check_rate(rate, error)
     if rate > MAX_RATE:
         raise error(f"unsupported sample rate {rate} Hz (at most {MAX_RATE} Hz)")
     return rate

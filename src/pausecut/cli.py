@@ -206,64 +206,60 @@ def _segmenter(cfg: dict) -> Callable[[int], tuple[Callable[[np.ndarray], None],
             samples_per_frame(cfg["raw_rate"], vad_cfg.frame_ms)
         except ValueError as exc:
             raise CliError(f"--raw-rate must be usable with --frame-ms: {exc}") from exc
-
-    def labelled(segment_track: Callable) -> Callable:
-        def start(rate: int):
-            labeller = BlockLabeller(vad_cfg, rate)
-            return labeller.push, lambda duration: segment_track(labeller.finish())
-
-        return start
-
-    if strategy == "vad":
-        return labelled(segment_vad_merge)
     try:
         if strategy == "srpol":
             params = SrpolParams(cfg["max_len"])
-        else:
+        elif strategy != "vad":
             force = strategy == "hybrid-force"
             params = HybridParams(cfg["min_len"], cfg["max_len"], force, cfg["juncture_ms"])
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    def pauses(track) -> tuple[list, float]:
-        return detect_pauses(track, cfg["min_pause_ms"]), track.duration
+    def segments(track) -> list[Segment]:
+        if strategy == "vad":
+            return segment_vad_merge(track)
+        pauses, duration = detect_pauses(track, cfg["min_pause_ms"]), track.duration
+        if strategy == "srpol":
+            return segment_srpol(Segment(0.0, duration), pauses, params) if duration else []
+        scan = segment_hybrid_force if params.force_split else segment_hybrid
+        return scan(pauses, duration, params)
 
-    def srpol(track) -> list[Segment]:
-        found, duration = pauses(track)
-        return segment_srpol(Segment(0.0, duration), found, params) if duration else []
+    def labelled(rate: int):
+        labeller = BlockLabeller(vad_cfg, rate)
+        return labeller.push, lambda duration: segments(labeller.finish())
 
     def stream(rate: int):
         from .streaming import StreamingSegmenter
 
         samples_per_frame(rate, vad_cfg.frame_ms)  # a rate that does not frame fails now
         engine = StreamingSegmenter(params, vad_cfg)
-        segments = []
+        emitted = []
 
         def push(block: np.ndarray) -> None:
             frames = iter_frames(AudioClip(block, rate), vad_cfg.frame_ms, engine.frames_pushed)
-            segments.extend(seg for frame in frames for seg in engine.push_frame(frame))
+            emitted.extend(seg for frame in frames for seg in engine.push_frame(frame))
 
-        return push, lambda duration: segments + engine.flush()
+        return push, lambda duration: emitted + engine.flush()
 
-    if strategy == "srpol":
-        return labelled(srpol)
-    if cfg["streaming"]:
-        return stream
-    scan = segment_hybrid_force if params.force_split else segment_hybrid
-    return labelled(lambda track: scan(*pauses(track), params))
+    return stream if cfg["streaming"] else labelled
 
 
 def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
-    from .audio import iter_pcm16_chunks, iter_wav_chunks
+    from .audio import block_rate, iter_pcm16_chunks, iter_wav_chunks
     from .manifest import render_manifest, segments_to_entries, write_manifest
 
     strategy, frame_ms, raw_rate = cfg["strategy"], cfg["frame_ms"], cfg["raw_rate"]
+    emit_dropped = cfg["emit_dropped"]
     reads = READS[strategy]
-    for key in ("jobs", "raw_rate"):
-        if cfg[key] is not None and cfg[key] < 1:
-            raise CliError(f"{_flag(key)} must be at least 1, got {cfg[key]}")
+    if cfg["jobs"] is not None and cfg["jobs"] < 1:
+        raise CliError(f"--jobs must be at least 1, got {cfg['jobs']}")
+    if raw_rate is not None:
+        try:
+            block_rate(raw_rate)
+        except ValueError as exc:
+            raise CliError(f"--raw-rate must be usable: {exc}") from exc
     if args.inputs.count("-") > 1:
         raise CliError("standard input ('-') can be read only once")
     if "-" in args.inputs and sys.stdin is None:  # the process started with fd 0 closed
@@ -303,13 +299,11 @@ def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
             raise CliError(f"cannot read {path}: {exc}") from exc
         except ValueError as exc:  # WavError too
             raise CliError(f"cannot decode {path}: {exc}") from exc
-        duration = n_samples / rate
-        try:
-            segments = finish(duration)
+        duration, name = n_samples / rate, os.path.basename(path)
+        try:  # a strategy's fault, or a segment no manifest can hold
+            return duration, segments_to_entries(finish(duration), name, duration, emit_dropped)
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from exc
-        name = os.path.basename(path)
-        return duration, segments_to_entries(segments, name, duration, cfg["emit_dropped"])
 
     workers = cfg["jobs"] or min(len(args.inputs), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:

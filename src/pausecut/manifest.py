@@ -75,16 +75,21 @@ def segments_to_entries(
 
     Segmenters that work on the padded frame timeline can overrun the
     true clip end by part of a frame; `clip_duration` clamps the tail so
-    no entry points past the audio.
+    no entry points past the audio.  No reader takes an entry whose six
+    decimals say 0 s: the last segment is dropped if it rounds so, as it
+    ends inside SEAM_TOLERANCE of the total, and any other is refused.
     """
     entries = []
-    for seg in segments:
+    for i, seg in enumerate(segments, 1 - len(segments)):  # 0 at the last
         start, end = seg.start, seg.end
         if clip_duration is not None:
             end = min(end, clip_duration)
         if end <= start or not (seg.kept or emit_dropped):
             continue
-        entries.append(ManifestEntry(wav_name, start, end - start, dropped=not seg.kept))
+        if round(end - start, 6):
+            entries.append(ManifestEntry(wav_name, start, end - start, dropped=not seg.kept))
+        elif i:
+            raise ValueError(f"segment [{start}, {end}) rounds to a 0 s manifest entry")
     return entries
 
 

@@ -307,26 +307,25 @@ class BlockLabeller:
             raise ValueError("only the last block may end inside a frame")
         self._ragged = len(samples) % self._spf > 0
         self._energies = np.concatenate((self._energies, _energies(samples, self._spf)))
-        self._label(FLOOR_CHUNK)
+        self._label(final=False)
 
     def finish(self) -> FrameLabelTrack:
-        self._label(1)
+        self._label(final=True)
         labels = np.concatenate([np.zeros(0, bool), *self._labels])
         return FrameLabelTrack(labels, self.config.frame_ms)
 
-    def _label(self, least: int) -> None:
-        """Label the waiting frames, FLOOR_CHUNK at a time, while `least` or more wait."""
+    def _label(self, final: bool) -> None:
+        """Label, in one pass, every whole FLOOR_CHUNK of the waiting frames, or all if `final`."""
         e, lead = self._energies, min(self._labelled, FLOOR_WINDOW - 1)
-        while len(e) - lead >= least:
-            n = min(len(e) - lead, FLOOR_CHUNK)
-            raw = e[lead : lead + n] > _noise_floors(e[: lead + n], lead) * self.config.multiplier
-            t = np.arange(self._labelled, self._labelled + n)
-            last_raw = np.maximum.accumulate(np.where(raw, t, self._last_raw))
-            self._labels.append(t - last_raw <= self.config.hangover)
-            self._labelled, self._last_raw = self._labelled + n, int(last_raw[-1])
-            keep = min(self._labelled, FLOOR_WINDOW - 1)
-            e, lead = e[lead + n - keep :], keep
-        self._energies = e
+        n = len(e) - lead if final else (len(e) - lead) // FLOOR_CHUNK * FLOOR_CHUNK
+        if not n:
+            return
+        raw = e[lead : lead + n] > _noise_floors(e[: lead + n], lead) * self.config.multiplier
+        t = np.arange(self._labelled, self._labelled + n)
+        last_raw = np.maximum.accumulate(np.where(raw, t, self._last_raw))
+        self._labels.append(t - last_raw <= self.config.hangover)
+        self._labelled, self._last_raw = self._labelled + n, int(last_raw[-1])
+        self._energies = e[lead + n - min(self._labelled, FLOOR_WINDOW - 1) :]
 
 
 def detect_pauses(track: FrameLabelTrack, min_pause_ms: int | None = None) -> list[Pause]:

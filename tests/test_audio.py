@@ -22,6 +22,7 @@ from pausecut import (
 from pausecut import audio
 from pausecut.audio import Frame, frame_time, iter_pcm16_chunks, iter_wav_chunks, read_pcm16
 from pausecut.audio import samples_per_frame
+from pausecut.vad import frame_energy
 
 from conftest import clip_from, talk_clip, tone
 
@@ -302,7 +303,7 @@ class TestCaptureToolHeaders:
             assert clip.sample_rate == 16000 and len(clip) == 0
         assert len(read_blocks(data)[1]) == 0
 
-    def test_rate_above_one_block_refused(self):
+    def test_rate_above_one_block_refused(self, tmp_path):
         ok = wav_bytes(np.zeros(4, dtype=np.int16), rate=audio.MAX_RATE)
         assert decode_wav(ok).sample_rate == read_blocks(ok)[0] == audio.MAX_RATE
         data = wav_bytes(np.zeros(4, dtype=np.int16), rate=2_000_000_000)  # frames: 240 MB blocks
@@ -310,6 +311,12 @@ class TestCaptureToolHeaders:
         for read in (decode_wav, read_blocks):
             with pytest.raises(UnsupportedWavError, match=message):
                 read(data)
+        # a header rate of 0 is unsupported too, a WavError like the rate above
+        zero = wav_bytes(np.zeros(4, dtype=np.int16), rate=0)
+        (tmp_path / "zero.wav").write_bytes(zero)
+        for read in (decode_wav, read_blocks, lambda _: read_wav(tmp_path / "zero.wav")):
+            with pytest.raises(UnsupportedWavError, match="^sample_rate must be a positive integer, got 0$"):
+                read(zero)
         with pytest.raises(ValueError, match=r"^unsupported sample rate 9000000 Hz"):
             iter_pcm16_chunks(io.BytesIO(b""), 9_000_000)
 
@@ -477,6 +484,14 @@ class TestAudioClip:
             AudioClip(samples, 16000)
         with pytest.raises(ValueError, match="integer PCM"):
             Frame(samples, 0, 20)
+
+    @pytest.mark.parametrize("shape", [(160, 2), (2, 160), (18, 18)], ids=["160x2", "2x160", "18x18"])
+    def test_samples_not_one_dimensional_refused(self, shape):
+        samples = np.zeros(shape, dtype=np.int16)
+        for make in (lambda: AudioClip(samples, 16000), lambda: Frame(samples, 0, 20),
+                     lambda: frame_energy(samples)):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                make()
 
     @pytest.mark.parametrize("value", [40000, -32769, 2**40])
     def test_integers_outside_int16_refused(self, value):

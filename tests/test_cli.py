@@ -429,6 +429,8 @@ class TestOptionValues:
             ("hybrid-force", "max_len", "inf"),
             ("segment", "raw_rate", "0"),
             ("segment", "raw_rate", "8001"),
+            ("segment", "raw_rate", "9000000"),
+            ("fixed", "raw_rate", "9000000"),
         ],
     )
     def test_out_of_range(self, tmp_path, monkeypatch, capsys, source, command, key, text):
@@ -639,6 +641,24 @@ class TestStats:
             assert run(["segment", "--strategy", *strategy, "-o", out, wav]) == 0
             assert run(["stats", out, "--json"]) == 0
             assert json.loads(capsys.readouterr().out)["pct_filtered"] == 0.0, strategy
+
+    @pytest.mark.parametrize("fmt", ["yaml", "jsonl"])
+    @pytest.mark.parametrize("length,seconds", [("0.3333333", 1), ("19.9999999", 40)])
+    def test_tail_written_as_zero_seconds_dropped(self, tmp_path, capsys, fmt, length, seconds):
+        # the last fixed segment is under 5e-7 s, which six decimals write as 0
+        wav, out = tmp_path / "a.wav", tmp_path / "m"
+        write_wav(wav, clip_from(silence(seconds, 8000), rate=8000))
+        argv = ["segment", "--strategy", "fixed", "--length", length, "--format", fmt, "-o", out]
+        assert run(argv + [wav]) == 0
+        assert run(["stats", out, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["pct_filtered"] == 0.0
+
+    def test_inner_segment_written_as_zero_seconds_names_the_input(self, tmp_path, capsys):
+        wav, out = tmp_path / "a.wav", tmp_path / "m.yaml"
+        write_wav(wav, clip_from(tone(0.001)))
+        assert run(["segment", "--strategy", "fixed", "--length", "4e-7", "-o", out, wav]) == 1
+        assert capsys.readouterr().err.startswith(f"pausecut: error: {wav}: segment [0.0, 4e-07)")
+        assert not out.exists()
 
 
 class TestCompare:

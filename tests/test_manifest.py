@@ -113,6 +113,14 @@ class TestSegmentsToEntries:
         entries = segments_to_entries(segs, "x.wav", clip_duration=1.0)
         assert [e.duration for e in entries] == [1.0]
 
+    @pytest.mark.parametrize("emit_dropped", [False, True])
+    def test_last_segment_written_as_zero_seconds_dropped(self, emit_dropped):
+        segs = [Segment(0.0, 0.5), Segment(0.5, 0.9999996, kept=False), Segment(0.9999996, 1.0)]
+        entries = segments_to_entries(segs, "x.wav", 1.0, emit_dropped)
+        assert [e.offset for e in entries] == [0.0, 0.5][: 1 + emit_dropped]
+        with pytest.raises(ValueError, match=r"^segment \[0\.5, 0\.5000004\) rounds to a 0 s"):
+            segments_to_entries([Segment(0.0, 0.5), Segment(0.5, 0.5000004), Segment(0.5000004, 1.0)], "x.wav")
+
 
 class TestNormalization:
     def test_gap_fill(self):
