@@ -138,19 +138,18 @@ def frames(clip: AudioClip, frame_ms: int) -> list[Frame]:
     return list(iter_frames(clip, frame_ms))
 
 
-def iter_frames(clip: AudioClip, frame_ms: int, first: int = 0) -> Iterator[Frame]:
-    """Pull-based variant of :func:`frames`; single-consumer.  `first` is the index
-    of the clip's first frame, for a clip that continues a stream."""
+def iter_frames(clip: AudioClip, frame_ms: int) -> Iterator[Frame]:
+    """Pull-based variant of :func:`frames`; single-consumer."""
     spf = samples_per_frame(clip.sample_rate, frame_ms)
     total = len(clip.samples)
     n_full = total // spf
     for i in range(n_full):
-        yield Frame(clip.samples[i * spf : (i + 1) * spf], first + i, frame_ms)
+        yield Frame(clip.samples[i * spf : (i + 1) * spf], i, frame_ms)
     rem = total - n_full * spf
     if rem:
         padded = np.zeros(spf, dtype=np.int16)
         padded[:rem] = clip.samples[n_full * spf :]
-        yield Frame(padded, first + n_full, frame_ms, padding=spf - rem)
+        yield Frame(padded, n_full, frame_ms, padding=spf - rem)
 
 
 # -- WAV container ----------------------------------------------------------

@@ -38,8 +38,7 @@ if TYPE_CHECKING:
     Finish = Callable[[float], list[Segment]]
 
 # What each strategy reads, and so what its manifest header echoes besides
-# `strategy` and `total_duration`.  Only a strategy that reads `streaming`
-# can run on the incremental engine.
+# `strategy` and `total_duration`.  Only those reading `streaming` take it.
 _VAD = ("aggressiveness", "frame_ms")
 READS = {
     "fixed": ("length",),
@@ -64,7 +63,7 @@ OPTIONS = {
     "aggressiveness": (SEGMENT, 2, int, (0, 1, 2, 3), "VAD aggressiveness"),
     "frame_ms": (SEGMENT, 20, int, (10, 20, 30), "VAD frame length (ms)"),
     "min_pause_ms": (SEGMENT, None, int, None, "minimum pause length (ms)"),
-    "streaming": (SEGMENT, False, None, None, "drive the incremental engine (hybrid only)"),
+    "streaming": (SEGMENT, False, None, None, "hybrid only: keep to what a live stream can do"),
     "format": (SEGMENT, "yaml", str, ("yaml", "jsonl"), "manifest format"),
     "emit_dropped": (SEGMENT, False, None, None, "include discarded audio as dropped entries"),
     "raw_rate": (SEGMENT, None, int, None, "read inputs as headerless PCM16 at this rate"),
@@ -186,14 +185,14 @@ def _segmenter(cfg: dict) -> Callable[[int], tuple[Callable[[np.ndarray], None],
 
     Called on the main thread before any input is opened, so a bad value
     names no audio file, and numpy is first imported here rather than in
-    several workers at once.  No strategy keeps the samples: `fixed`
-    needs only their count, which the caller keeps; the others keep one
-    label byte a frame, or under --streaming the engine's own state.
+    several workers at once.  No strategy keeps the samples: `fixed` needs
+    their count, `vad` and `srpol` a label byte a frame, and the hybrids,
+    --streaming or not, a `PauseScan` holding the open segment's pauses.
     """
-    from .audio import AudioClip, iter_frames, samples_per_frame
+    from .audio import samples_per_frame
     from .segmenters import HybridParams, Segment, SrpolParams, segment_fixed, segment_srpol
-    from .segmenters import segment_hybrid, segment_hybrid_force, segment_vad_merge
-    from .vad import BlockLabeller, VadConfig, detect_pauses
+    from .segmenters import segment_vad_merge
+    from .vad import BlockLabeller, PauseScan, VadConfig, detect_pauses
 
     strategy, length = cfg["strategy"], cfg["length"]
     if strategy == "fixed":
@@ -219,29 +218,23 @@ def _segmenter(cfg: dict) -> Callable[[int], tuple[Callable[[np.ndarray], None],
         if strategy == "vad":
             return segment_vad_merge(track)
         pauses, duration = detect_pauses(track, cfg["min_pause_ms"]), track.duration
-        if strategy == "srpol":
-            return segment_srpol(Segment(0.0, duration), pauses, params) if duration else []
-        scan = segment_hybrid_force if params.force_split else segment_hybrid
-        return scan(pauses, duration, params)
+        return segment_srpol(Segment(0.0, duration), pauses, params) if duration else []
 
     def labelled(rate: int):
         labeller = BlockLabeller(vad_cfg, rate)
         return labeller.push, lambda duration: segments(labeller.finish())
 
-    def stream(rate: int):
-        from .streaming import StreamingSegmenter
+    def scanned(rate: int):
+        scan, out = PauseScan(params, vad_cfg.frame_ms, cfg["min_pause_ms"]), []
+        labeller = BlockLabeller(vad_cfg, rate, lambda chunk: out.extend(scan.push_labels(chunk)))
 
-        samples_per_frame(rate, vad_cfg.frame_ms)  # a rate that does not frame fails now
-        engine = StreamingSegmenter(params, vad_cfg)
-        emitted = []
+        def finish(duration: float) -> list[Segment]:
+            labeller.finish()
+            return out + scan.flush()
 
-        def push(block: np.ndarray) -> None:
-            frames = iter_frames(AudioClip(block, rate), vad_cfg.frame_ms, engine.frames_pushed)
-            emitted.extend(seg for frame in frames for seg in engine.push_frame(frame))
+        return labeller.push, finish
 
-        return push, lambda duration: emitted + engine.flush()
-
-    return stream if cfg["streaming"] else labelled
+    return labelled if strategy in ("vad", "srpol") else scanned
 
 
 def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:

@@ -73,11 +73,10 @@ def segments_to_entries(
 ) -> list[ManifestEntry]:
     """Convert segmenter output to manifest entries.
 
-    Segmenters that work on the padded frame timeline can overrun the
-    true clip end by part of a frame; `clip_duration` clamps the tail so
-    no entry points past the audio.  No reader takes an entry whose six
-    decimals say 0 s: the last segment is dropped if it rounds so, as it
-    ends inside SEAM_TOLERANCE of the total, and any other is refused.
+    Segmenters on the padded frame timeline can overrun the clip end by part
+    of a frame; `clip_duration` clamps the tail.  An entry six decimals make
+    0 s long is dropped if last (it ends inside SEAM_TOLERANCE of the total),
+    else refused, as is one the reader's seam test takes for an overlap.
     """
     entries = []
     for i, seg in enumerate(segments, 1 - len(segments)):  # 0 at the last
@@ -90,6 +89,9 @@ def segments_to_entries(
             entries.append(ManifestEntry(wav_name, start, end - start, dropped=not seg.kept))
         elif i:
             raise ValueError(f"segment [{start}, {end}) rounds to a 0 s manifest entry")
+    for i in range(0, len(entries), 1024):  # the reader's test, 1024 seams at a time
+        entries_to_segments([ManifestEntry(e.wav, round(e.offset, 6), round(e.duration, 6))
+                             for e in entries[max(i - 1, 0) : i + 1024]])
     return entries
 
 

@@ -242,7 +242,7 @@ def split_to_end(
 ) -> list[Segment]:
     """Tile [start, end) with the settled splits plus the remainder segment.
 
-    The one check of the span for fixed, both hybrids and the engine's flush."""
+    The one check of the span for fixed, both hybrids and `PauseScan.flush`."""
     if not 0 <= start <= end < math.inf:  # nan too: a walk to inf never ends
         raise ValueError(f"need 0 <= start <= end < inf, got [{start}, {end})")
     out = split_until(pauses, start, end, params)

@@ -22,12 +22,11 @@ it.  On every other push the scan would return nothing, so it is
 skipped.  Push emissions plus the flush remainder equal the batch
 result -- exactly, not approximately.
 
-The engine holds no audio: only the VAD's floor window and hangover, the
-stream position, the open non-speech run and the pauses of the open
-segment, which are dropped as its segments go out.  `buffered_frames`,
-the pushed frames not yet covered by an emitted segment, is derived by
-bisecting the frame ends with `frame_time`, the floats every decision
-above uses; it never exceeds max_len plus the frame in flight.
+The engine is a `vad.PauseScan` fed frames; CLI `segment` feeds the scan
+label blocks.  It holds no audio: only the VAD's floor window and hangover,
+the stream position, the open run and the open segment's pauses.
+`buffered_frames`, the pushed frames after the segment start, is bisected
+from the frame ends with `frame_time`; it is at most max_len plus a frame.
 
 One engine instance per stream.  The state is single-owner: move it
 between threads, never share it.  A checkpoint is versioned JSON of the
@@ -37,42 +36,29 @@ explicit state; restoring one reads data and never executes it.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import asdict
 
 from .audio import Frame, frame_time
-from .segmenters import HybridParams, Segment, split_to_end, split_until
-from .vad import FLOOR_WINDOW, EnergyVad, Pause, VadConfig, frame_energy
+from .segmenters import HybridParams, Segment, split_until
+from .vad import FLOOR_WINDOW, EnergyVad, Pause, PauseScan, VadConfig, frame_energy
 
 _STATE_VERSION = 2
 
 
-class StreamingSegmenter:
+class StreamingSegmenter(PauseScan):
     """Push-based hybrid (or hybrid-force) segmenter."""
 
     def __init__(self, params: HybridParams, vad_config: VadConfig | None = None):
-        self.params = params
         self.vad_config = vad_config or VadConfig()
+        super().__init__(params, self.vad_config.frame_ms, self.vad_config.frame_ms)
         self._vad = EnergyVad(self.vad_config)
-        self._segment_start = 0.0
-        self._frames_pushed = 0
-        self._run_start: int | None = None  # first frame of the open non-speech run
-        self._pauses: list[Pause] = []  # closed, start >= segment start
-        self._finished = False
 
     @property
     def buffered_frames(self) -> int:
         """Pushed frames whose end, frame_time(k) for frame k - 1, lies after the segment start."""
-        fm, n, s = self.vad_config.frame_ms, self._frames_pushed, self._segment_start
+        fm, n, s = self.frame_ms, self._frames_pushed, self._segment_start
         return n - bisect_right(range(1, n + 1), s, key=lambda k: frame_time(k, fm))
-
-    @property
-    def frames_pushed(self) -> int:
-        return self._frames_pushed
-
-    @property
-    def segment_start(self) -> float:
-        return self._segment_start
 
     def push_frame(self, frame: Frame) -> list[Segment]:
         """Consume the next frame; return the segments it determined."""
@@ -89,8 +75,7 @@ class StreamingSegmenter:
         closed = False
         if self._vad.step(frame_energy(frame.samples)):
             if self._run_start is not None:
-                self._pauses.append(Pause.from_frames(self._run_start, frame.index - 1, fm))
-                self._run_start = None
+                self._close(frame.index)
                 closed = True
         elif self._run_start is None:
             self._run_start = frame.index
@@ -107,25 +92,6 @@ class StreamingSegmenter:
         open_start = None if self._run_start is None else frame_time(self._run_start, fm)
         segments = split_until(self._pauses, self._segment_start, now, self.params, open_start)
         return self._emit(segments)
-
-    def flush(self) -> list[Segment]:
-        """Close the stream and emit everything still pending."""
-        if self._finished:
-            return []
-        self._finished = True
-        fm = self.vad_config.frame_ms
-        if self._run_start is not None:
-            self._pauses.append(Pause.from_frames(self._run_start, self._frames_pushed - 1, fm))
-            self._run_start = None
-        end = frame_time(self._frames_pushed, fm)
-        return self._emit(split_to_end(self._pauses, self._segment_start, end, self.params))
-
-    def _emit(self, segments: list[Segment]) -> list[Segment]:
-        if segments:
-            self._segment_start = segments[-1].end
-            done = bisect_left(self._pauses, self._segment_start, key=lambda p: p.start)
-            del self._pauses[:done]
-        return segments
 
     # -- checkpointing -----------------------------------------------------
 

@@ -49,6 +49,7 @@ from functools import reduce
 import numpy as np
 
 from .audio import SUPPORTED_FRAME_MS, AudioClip, as_int16, frame_time, samples_per_frame
+from .segmenters import HybridParams, Segment, split_to_end, split_until
 
 MULTIPLIERS = (2.0, 3.5, 5.0, 8.0)
 HANGOVER_FRAMES = (8, 6, 4, 2)
@@ -285,21 +286,22 @@ class BlockLabeller:
     """:func:`classify` of a clip that arrives in blocks of samples.
 
     Every block but the last must hold whole frames.  Between blocks it
-    holds the energies of the last FLOOR_WINDOW - 1 labelled frames, the
-    newest raw-speech frame, the energies still waiting for a floor (fewer
-    than FLOOR_CHUNK) and one label byte per frame.  Floors are computed
-    FLOOR_CHUNK frames at a time, whatever the block size: each call of
-    the block filter makes some 200 numpy calls, which --jobs threads
-    contend for.  The labels do not depend on where the clip is cut.
+    holds the last FLOOR_WINDOW - 1 energies, the newest raw-speech frame,
+    the energies waiting for a floor (fewer than FLOOR_CHUNK) and a label
+    byte per frame, unless `sink` takes each labelled chunk instead.  Floors
+    are computed FLOOR_CHUNK frames at a time, whatever the block size: each
+    call of the block filter makes some 200 numpy calls, which --jobs
+    threads contend for.  The labels do not depend on where the clip is cut.
     """
 
-    def __init__(self, config: VadConfig, sample_rate: int):
+    def __init__(self, config: VadConfig, sample_rate: int, sink=None):
         self.config = config
         self._spf = samples_per_frame(sample_rate, config.frame_ms)
         self._energies = np.empty(0)  # min(labelled, FLOOR_WINDOW - 1) history, then the waiting
         self._labelled = 0
         self._last_raw = -config.hangover - 1
         self._labels: list[np.ndarray] = []
+        self._sink = self._labels.append if sink is None else sink
         self._ragged = False  # the last block ended inside a frame
 
     def push(self, samples: np.ndarray) -> None:
@@ -323,9 +325,64 @@ class BlockLabeller:
         raw = e[lead : lead + n] > _noise_floors(e[: lead + n], lead) * self.config.multiplier
         t = np.arange(self._labelled, self._labelled + n)
         last_raw = np.maximum.accumulate(np.where(raw, t, self._last_raw))
-        self._labels.append(t - last_raw <= self.config.hangover)
+        self._sink(t - last_raw <= self.config.hangover)
         self._labelled, self._last_raw = self._labelled + n, int(last_raw[-1])
         self._energies = e[lead + n - min(self._labelled, FLOOR_WINDOW - 1) :]
+
+
+class PauseScan:
+    """The batch hybrid scan over :func:`detect_pauses`, run on label blocks as they come.
+
+    Each push scans up to the open non-speech run, or the labels' end, before
+    which every pause is known.  It holds the open run and the open segment's pauses."""
+
+    def __init__(self, params: HybridParams, frame_ms: int, min_pause_ms: int):
+        self.params, self.frame_ms, self.min_pause_ms = params, frame_ms, min_pause_ms
+        self._segment_start, self._frames_pushed, self._finished = 0.0, 0, False
+        self._run_start: int | None = None  # first frame of the open non-speech run
+        self._pauses: list[Pause] = []  # closed, start >= segment start
+
+    @property
+    def frames_pushed(self) -> int:
+        return self._frames_pushed
+
+    @property
+    def segment_start(self) -> float:
+        return self._segment_start
+
+    def push_labels(self, labels: np.ndarray) -> list[Segment]:
+        """Take the next frames' labels (True: speech); return the segments they settle."""
+        first, self._frames_pushed = self._frames_pushed, self._frames_pushed + len(labels)
+        for a, _ in label_runs(labels):
+            if labels[a]:
+                self._close(first + a)
+            elif self._run_start is None:
+                self._run_start = first + a
+        known = self._frames_pushed if self._run_start is None else self._run_start
+        now = frame_time(known, self.frame_ms)
+        return self._emit(split_until(self._pauses, self._segment_start, now, self.params))
+
+    def flush(self) -> list[Segment]:
+        """Close the stream and emit everything still pending."""
+        if self._finished:
+            return []
+        self._finished = True
+        self._close(self._frames_pushed)
+        end = frame_time(self._frames_pushed, self.frame_ms)
+        return self._emit(split_to_end(self._pauses, self._segment_start, end, self.params))
+
+    def _close(self, end: int) -> None:
+        """End the open run, if any, before frame `end`: a pause if min_pause_ms long."""
+        first, self._run_start = self._run_start, None
+        if first is not None and (end - first) * self.frame_ms >= self.min_pause_ms:
+            self._pauses.append(Pause.from_frames(first, end - 1, self.frame_ms))
+
+    def _emit(self, segments: list[Segment]) -> list[Segment]:
+        if segments:
+            self._segment_start = segments[-1].end
+            done = bisect.bisect_left(self._pauses, self._segment_start, key=lambda p: p.start)
+            del self._pauses[:done]
+        return segments
 
 
 def detect_pauses(track: FrameLabelTrack, min_pause_ms: int | None = None) -> list[Pause]:

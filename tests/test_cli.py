@@ -660,6 +660,25 @@ class TestStats:
         assert capsys.readouterr().err.startswith(f"pausecut: error: {wav}: segment [0.0, 4e-07)")
         assert not out.exists()
 
+    def test_microsecond_entries_refused_or_read_back(self, tmp_path, capsys):
+        # six decimals can end an entry at or before the previous entry's end
+        wav, ten_ms = tmp_path / "a.wav", tmp_path / "b.wav"
+        write_wav(wav, clip_from(tone(0.0005)))
+        write_wav(ten_ms, clip_from(tone(0.01)))
+        out, refused = tmp_path / "m.yaml", 0
+        for length in [*np.linspace(5e-7, 4e-6, 200).tolist(), 1.5e-6]:
+            path = ten_ms if length == 1.5e-6 else wav
+            code = run(["segment", "--strategy", "fixed", "--length", repr(length), "-o", out, path])
+            err = capsys.readouterr().err
+            if code:
+                assert err.startswith(f"pausecut: error: {path}: "), length
+                assert not out.exists()
+                refused += 1
+            else:
+                assert run(["stats", out]) == 0, (length, capsys.readouterr().err)
+                out.unlink()
+        assert 0 < refused < 201 and code == 1  # the 10 ms WAV at 1.5e-6 s is refused
+
 
 class TestCompare:
     def write_fixed(self, tmp_path, wav, length, name):

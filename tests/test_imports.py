@@ -2,8 +2,8 @@
 
 `stats`, `compare` and `--version` do no audio work, so their processes
 must not pay for importing numpy; `--version`, and `stats` and `compare`
-on JSON lines, must not load PyYAML either.  Batch `segment` must not load
-the streaming engine, which only `--streaming` drives, nor stdlib `wave`,
+on JSON lines, must not load PyYAML either.  `segment`, with or without
+`--streaming`, must not load the streaming engine, nor stdlib `wave`,
 which only writing a WAV needs.  Every check starts
 a fresh interpreter with `-X importtime`, whose stderr names each module
 the process imports.
@@ -113,7 +113,7 @@ def test_segment_loads_engine_only_for_streaming(tmp_path):
     write_wav(wav, clip_from(tone(1.0), silence(0.5), tone(1.0)))
     segment = ("-m", "pausecut", "segment", str(wav), "-o", str(tmp_path / "m.yaml"))
     assert "pausecut.streaming" not in imported_modules(*segment)
-    assert "pausecut.streaming" in imported_modules(*segment, "--streaming")
+    assert "pausecut.streaming" not in imported_modules(*segment, "--streaming")
 
 
 def test_segment_does_not_load_wave(tmp_path):

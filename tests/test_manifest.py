@@ -121,6 +121,18 @@ class TestSegmentsToEntries:
         with pytest.raises(ValueError, match=r"^segment \[0\.5, 0\.5000004\) rounds to a 0 s"):
             segments_to_entries([Segment(0.0, 0.5), Segment(0.5, 0.5000004), Segment(0.5000004, 1.0)], "x.wav")
 
+    @pytest.mark.parametrize("at", [1, 1022, 1023, 1024, 3000])
+    def test_refuses_what_six_decimals_overlap(self, at):
+        # entry `at` is [a - 4e-7, a + 1e-3 + 2e-7), written as ending 1e-6 past
+        # its true end; the next, 1e-6 s long, is written as starting 2e-7 before
+        # it and reads as ending where entry `at` ended, wherever `at` falls
+        cuts = [k / 1000 for k in range(at)] + [at / 1000 - 4e-7, (at + 1) / 1000 + 2e-7]
+        segs = [Segment(a, b) for a, b in zip(cuts, cuts[1:])]
+        assert len(segments_to_entries(segs, "x.wav")) == at + 1
+        segs.append(Segment(cuts[-1], cuts[-1] + 1e-6))
+        with pytest.raises(ValueError, match=f"^overlapping segments at offset {cuts[-1]:.6f}$"):
+            segments_to_entries(segs, "x.wav")
+
 
 class TestNormalization:
     def test_gap_fill(self):

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pausecut import AudioClip, FrameLabelTrack, Pause, VadConfig, classify, detect_pauses
-from pausecut import vad
+from pausecut import AudioClip, FrameLabelTrack, HybridParams, Pause, VadConfig, classify
+from pausecut import detect_pauses, segment_hybrid, segment_hybrid_force, vad
 from pausecut.audio import iter_frames
 from pausecut.vad import (
     FLOOR_CHUNK,
@@ -14,6 +14,7 @@ from pausecut.vad import (
     FLOOR_WINDOW,
     BlockLabeller,
     EnergyVad,
+    PauseScan,
     _noise_floors,
     frame_energies,
     frame_energy,
@@ -157,6 +158,12 @@ class TestBlockLabeller:
                     labeller.push(block)
                 got = labeller.finish()
                 assert got.labels.tolist() == want and got.frame_ms == frame_ms
+                chunks = []
+                sunk = BlockLabeller(cfg, rate, chunks.append)
+                for block in random_blocks(rng, clip.samples, spf):
+                    sunk.push(block)
+                assert sunk.finish().total_frames == 0
+                assert np.concatenate([np.zeros(0, bool), *chunks]).tolist() == want
 
     def test_only_the_last_block_may_end_inside_a_frame(self):
         labeller = BlockLabeller(VadConfig(), 16000)
@@ -318,6 +325,47 @@ class TestDetectPauses:
         for p in detect_pauses(FrameLabelTrack(labels, 30)):
             first, last = p.frame_span
             assert p.duration == (last - first + 1) * 30 / 1000
+
+
+def random_runs(rng, n_frames: int, frame_ms: int, max_len: float) -> np.ndarray:
+    """Alternating speech and non-speech runs from one frame up to a few horizons."""
+    longest = max(1, int(2.5 * max_len * 1000 / frame_ms))
+    labels, speaking = np.zeros(n_frames, bool), bool(rng.random() < 0.5)
+    a = 0
+    while a < n_frames:
+        b = a + int(rng.integers(1, 6 if rng.random() < 0.5 else longest + 1))
+        labels[a:b], a, speaking = speaking, b, not speaking
+    return labels
+
+
+def random_cuts(rng, n: int) -> list[int]:
+    """Block edges in [0, n], repeats (empty blocks) and neighbours (one-frame blocks) included."""
+    cuts = rng.integers(0, n + 1, int(rng.integers(0, 12))).tolist()
+    cuts += [c + 1 for c in cuts if c < n and rng.random() < 0.3]
+    return sorted([0, *cuts, *cuts[: int(rng.integers(0, 3))], n])
+
+
+class TestPauseScan:
+    @pytest.mark.parametrize("frame_ms", [10, 20, 30])
+    @pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
+    def test_label_blocks_give_the_batch_scan(self, rng, frame_ms, force):
+        frame_s, batch = frame_ms / 1000, segment_hybrid_force if force else segment_hybrid
+        for _ in range(700):
+            min_len = frame_s * int(rng.integers(1, 60))
+            max_len = min_len + frame_s * int(rng.integers(0, 60)) * (rng.random() < 0.8)
+            params = HybridParams(min_len, max_len, force, frame_ms * int(rng.integers(1, 40)))
+            # one frame up to past max_len
+            min_pause_ms = frame_ms * int(rng.integers(1, round(max_len / frame_s) + 4))
+            labels = random_runs(rng, int(rng.integers(0, 600)), frame_ms, max_len)
+            t = FrameLabelTrack(labels, frame_ms)
+            want = batch(detect_pauses(t, min_pause_ms), t.duration, params)
+            scan, got = PauseScan(params, frame_ms, min_pause_ms), []
+            cuts = random_cuts(rng, len(labels))
+            for a, b in zip(cuts, cuts[1:]):
+                got += scan.push_labels(labels[a:b])
+                assert all(p.start >= scan.segment_start for p in scan._pauses)
+            assert got + scan.flush() == want
+            assert scan.flush() == []
 
 
 def _runs(labels):
