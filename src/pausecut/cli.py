@@ -322,36 +322,28 @@ def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
 def _timeline(path: str, total: float | None = None) -> tuple[list[Segment], float]:
     """Manifest `path` as a tiling of [0, total), with that total: `total` (the
     --total-duration flag), else the header's, else the coverage.  A read or format
-    error is reported against `path`."""
-    from .manifest import SEAM_TOLERANCE, ManifestError, coverage_end, entries_to_segments
-    from .manifest import read_manifest
+    error is reported against `path`, a fault of the flag's value against the flag."""
+    from .manifest import ManifestError, entries_to_segments, read_manifest
 
-    fail, source = CliError, "--total-duration"
+    flag = total is not None
     try:
         entries, header = read_manifest(path)
-        coverage = coverage_end(entries)
-        if total is None and "total_duration" in header:
-            fail, source, value = ManifestError, "total_duration", header["total_duration"]
-            try:
-                if isinstance(value, bool):  # JSON true is not one second
-                    raise TypeError(value)
-                total = float(value)
+        if not flag and "total_duration" in header:
+            value = header["total_duration"]
+            try:  # JSON true is not one second
+                total = float(None if isinstance(value, bool) else value)
             except (TypeError, ValueError, OverflowError) as exc:
-                raise fail(f"{source} must be a number, got {value!r}") from exc
-        if total is None:
-            total = coverage
-        elif not math.isfinite(total):
-            raise fail(f"{source} must be finite, got {total}")
-        elif total < 0 or total < coverage - SEAM_TOLERANCE:
-            raise fail(
-                f"{source} must be non-negative and cover the manifest's {coverage:.6f}s, "
-                f"got {total}"
-            )
-        return entries_to_segments(entries, total), total
+                raise ManifestError(f"total_duration must be a number, got {value!r}") from exc
+        segments = entries_to_segments(entries, total)
     except (OSError, UnicodeDecodeError) as exc:  # UTF-8 text only
         raise CliError(f"cannot read {path}: {exc}") from exc
     except ManifestError as exc:
+        if flag and str(exc).startswith("total_duration "):  # the library's name for the flag
+            raise CliError(_flag("total_duration") + str(exc)[len("total_duration"):]) from exc
         raise CliError(f"malformed manifest {path}: {exc}") from exc
+    if total is None:  # the tiling ends where the last entry ends
+        total = segments[-1].end if segments else 0.0
+    return segments, total
 
 
 def _cmd_stats(args: argparse.Namespace, cfg: dict) -> int:

@@ -76,7 +76,7 @@ def segments_to_entries(
     Segmenters on the padded frame timeline can overrun the clip end by part
     of a frame; `clip_duration` clamps the tail.  An entry six decimals make
     0 s long is dropped if last (it ends inside SEAM_TOLERANCE of the total),
-    else refused, as is one the reader's seam test takes for an overlap.
+    else refused, as is one whose six-decimal values the reader's walk refuses.
     """
     entries = []
     for i, seg in enumerate(segments, 1 - len(segments)):  # 0 at the last
@@ -89,9 +89,8 @@ def segments_to_entries(
             entries.append(ManifestEntry(wav_name, start, end - start, dropped=not seg.kept))
         elif i:
             raise ValueError(f"segment [{start}, {end}) rounds to a 0 s manifest entry")
-    for i in range(0, len(entries), 1024):  # the reader's test, 1024 seams at a time
-        entries_to_segments([ManifestEntry(e.wav, round(e.offset, 6), round(e.duration, 6))
-                             for e in entries[max(i - 1, 0) : i + 1024]])
+    for _ in _tile((round(e.offset, 6), round(e.duration, 6), True, wav_name) for e in entries):
+        pass  # the reader's own walk, on the six-decimal values
     return entries
 
 
@@ -326,28 +325,37 @@ SEAM_TOLERANCE = 1e-5
 def entries_to_segments(
     entries: list[ManifestEntry], total_duration: float | None = None
 ) -> list[Segment]:
-    """Normalize a manifest into a gap-free tiling of [0, total_duration).
-
-    Manifests usually list kept audio only; the uncovered remainder
-    (leading, internal, trailing) is filled with dropped segments so
-    stats and boundary comparison see the full timeline.
-    """
+    """Normalize a manifest into a gap-free tiling of [0, total_duration), which
+    must be finite and reach the last entry's end (the default).  The uncovered
+    remainder (leading, internal, trailing) is filled with dropped segments so
+    stats and boundary comparison see the full timeline."""
     ordered = sorted(entries, key=lambda e: e.offset)
-    total = total_duration if total_duration is not None else coverage_end(ordered)
-    segments = []
+    spans = ((e.offset, e.duration, not e.dropped, e.wav) for e in ordered)
+    return [Segment(*piece) for piece in _tile(spans, total_duration)]
+
+
+def _tile(spans, total: float | None = None):
+    """The manifest's tiling rule, for the reader and the writer alike: walk
+    `(offset, duration, kept, wav)` records in time order and yield the `(start,
+    end, kept)` pieces that tile [0, total), gaps and the tail dropped."""
+    if total is not None and not math.isfinite(total):
+        raise ManifestError(f"total_duration must be finite, got {total}")
     cursor = 0.0
-    for e in ordered:
-        if e.duration <= 0:
-            raise ManifestError(f"non-positive duration in record for {e.wav!r}")
-        if e.offset < cursor - SEAM_TOLERANCE:
-            raise ManifestError(f"overlapping segments at offset {e.offset:.6f}")
-        if e.offset > cursor + SEAM_TOLERANCE:
-            segments.append(Segment(cursor, e.offset, kept=False))
-            cursor = e.offset
-        if e.end <= cursor:
-            raise ManifestError(f"overlapping segments at offset {e.offset:.6f}")
-        segments.append(Segment(cursor, e.end, kept=not e.dropped))
-        cursor = e.end
+    for offset, duration, kept, wav in spans:
+        if duration <= 0:
+            raise ManifestError(f"non-positive duration in record for {wav!r}")
+        start, end = offset if offset > cursor + SEAM_TOLERANCE else cursor, offset + duration
+        if offset < cursor - SEAM_TOLERANCE or end <= start:
+            raise ManifestError(f"overlapping segments at offset {offset:.6f}")
+        if not math.isfinite(end):  # past the float range
+            raise ManifestError(f"non-finite end in record at offset {offset:.6g}")
+        if start > cursor:
+            yield cursor, start, False
+        yield start, end, kept
+        cursor = end
+    total = cursor if total is None else total  # no total: the tiling ends at the last end
+    if total < 0 or total < cursor - SEAM_TOLERANCE:
+        cover = f"non-negative and cover the manifest's {cursor:.6f}s"
+        raise ManifestError(f"total_duration must be {cover}, got {total}")
     if total > cursor + SEAM_TOLERANCE:
-        segments.append(Segment(cursor, total, kept=False))
-    return segments
+        yield cursor, total, False

@@ -619,6 +619,30 @@ class TestStats:
         assert f"malformed manifest {path}: total_duration must be non-negative" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "- {wav: a.wav, offset: %s, duration: %s}\n" % ((f"{1e308:.6f}",) * 2),
+            "- {wav: a.wav, offset: 1.0e+308, duration: 1.0e+308}\n",
+            "- {wav: a.wav, offset: 0, duration: 1.0e+308}\n"
+            "- {wav: a.wav, offset: 1.0e+308, duration: 1.0e+308}\n",
+            '{"wav": "a.wav", "offset": 1e308, "duration": 1e308}\n',
+            '{"wav": "a.wav", "offset": 0.0, "duration": 1e308}\n'
+            '{"wav": "a.wav", "offset": 1e308, "duration": 1e308}\n',
+        ],
+        ids=["yaml-as-written", "foreign-yaml", "foreign-yaml-two", "jsonl", "jsonl-two"],
+    )
+    def test_entry_ending_past_the_float_range_rejected(self, tmp_path, capsys, text):
+        # offset + duration overflows to inf: stats printed NaN and Infinity, compare F1 = 1
+        path = tmp_path / "m.manifest"
+        path.write_text(text)
+        for argv in (["stats", path], ["stats", "--json", path], ["compare", "--json", path, path]):
+            assert run(argv) == 1
+            captured = capsys.readouterr()
+            expected = f"malformed manifest {path}: non-finite end in record at offset 1e+308"
+            assert captured.err == f"pausecut: error: {expected}\n"
+            assert captured.out == ""
+
     def test_roundtrip_matches_in_process(self, talk_wav, tmp_path, capsys):
         out = tmp_path / "h.yaml"
         assert run(["segment", "--strategy", "hybrid", "-o", out, talk_wav]) == 0
@@ -1294,3 +1318,88 @@ class TestMistypedManifest:
         captured = capsys.readouterr()
         assert f"malformed manifest {bad}" in captured.err
         assert captured.out == ""
+
+
+def strict_json(text: str):
+    """`text` parsed as JSON, failing on the NaN and Infinity that json.loads takes."""
+
+    def refuse(constant):
+        raise AssertionError(f"non-JSON {constant} in {text!r}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestRoundTrip:
+    """`segment` writes only what `stats` and `compare` read: random option sets
+    over random short clips, one input each, through `cli.main`.
+
+    Whenever `segment` exits 0, `stats --json` exits 0 with strict JSON,
+    `compare M M --json` gives F1 = 1, every kept hybrid entry is at most
+    `max_len` long, and `--streaming` writes the batch bytes but for its
+    `# streaming:` line.  Multi-input runs wait for ROADMAP item 6: their
+    offsets restart at 0 for each file, which `stats` reads as an overlap.
+    """
+
+    def options(self, rng: np.random.Generator, seconds: float) -> dict[str, str]:
+        strategy = str(rng.choice(STRATEGIES))
+        if strategy == "fixed":
+            tiny = seconds <= 0.002 and rng.random() < 0.7  # microsecond entries
+            length = rng.uniform(5e-7, 4e-6) if tiny else rng.uniform(0.05, 6.0)
+            return {"--strategy": "fixed", "--length": repr(float(length))}
+        frame = int(rng.choice([10, 20, 30]))
+        opts = {"--strategy": strategy, "--frame-ms": str(frame)}
+        opts["--aggressiveness"] = str(rng.integers(0, 4))
+        if strategy != "vad":
+            max_len = float(rng.uniform(0.3, 6.0))
+            opts["--max-len"] = repr(max_len)
+            opts["--min-pause-ms"] = str(frame * rng.choice([1, 3]))
+        if strategy.startswith("hybrid"):
+            opts["--min-len"] = repr(max_len * float(rng.uniform(0.3, 1.0)))
+        if strategy == "hybrid-force":
+            opts["--juncture-ms"] = str(rng.integers(50, 800))
+        return opts
+
+    def test_random_option_sets(self, tmp_path, capsys):
+        rng = np.random.default_rng(0x5E6)
+        written = 0
+        for case in range(150):
+            seconds = float(rng.choice([rng.uniform(0, 0.002), rng.uniform(0, 2), rng.uniform(2, 8)]))
+            opts = self.options(rng, seconds)
+            fixed = opts["--strategy"] == "fixed"
+            rate = 11025 if fixed and rng.random() < 0.3 else int(rng.choice([8000, 16000]))
+            wav, out = tmp_path / f"{case}.wav", tmp_path / f"{case}.m"
+            write_wav(wav, speechy_clip(rng, seconds, rate))
+            fmt = str(rng.choice(["yaml", "jsonl"]))
+            argv = [arg for item in opts.items() for arg in item] + ["--format", fmt]
+            argv += ["--emit-dropped"] * int(rng.integers(0, 2))
+            if run(["segment", *argv, "-o", out, wav]):
+                assert not out.exists()
+                capsys.readouterr()
+                continue
+            written += 1
+            assert run(["stats", "--json", out]) == 0, argv
+            strict_json(capsys.readouterr().out)
+            assert run(["compare", "--json", out, out]) == 0, argv
+            assert strict_json(capsys.readouterr().out)["f1"] == 1.0, argv
+            if not opts["--strategy"].startswith("hybrid"):
+                continue
+            entries, _ = read_manifest(out)
+            max_len = float(opts["--max-len"])
+            assert all(e.duration <= max_len + 1e-6 for e in entries if not e.dropped), argv
+            streamed = tmp_path / f"{case}.streaming.m"
+            code = run(["segment", *argv, "--streaming", "-o", streamed, wav])
+            capsys.readouterr()
+            if opts["--min-pause-ms"] != opts["--frame-ms"]:
+                assert code == 1  # a pause's length is unknown at the horizon
+                continue
+            assert code == 0, argv
+            batch, live = out.read_text().splitlines(), streamed.read_text().splitlines()
+            if fmt == "jsonl":
+                batch[0], live[0] = json.loads(batch[0]), json.loads(live[0])
+                flags = batch[0]["config"].pop("streaming"), live[0]["config"].pop("streaming")
+                assert flags == (False, True)
+            else:
+                batch.remove("# streaming: False")
+                live.remove("# streaming: True")
+            assert batch == live, argv
+        assert written >= 120, written

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import re
 import stat
@@ -11,6 +12,7 @@ import yaml
 from pausecut import HybridParams, Segment, SrpolParams, compute_stats, manifest
 from pausecut import segment_fixed, segment_hybrid, segment_hybrid_force, segment_srpol
 from pausecut.manifest import (
+    SEAM_TOLERANCE,
     ManifestEntry,
     ManifestError,
     coverage_end,
@@ -133,6 +135,56 @@ class TestSegmentsToEntries:
         with pytest.raises(ValueError, match=f"^overlapping segments at offset {cuts[-1]:.6f}$"):
             segments_to_entries(segs, "x.wav")
 
+    @pytest.mark.parametrize("emit_dropped", [False, True])
+    def test_writer_accepts_exactly_what_the_reader_reads(self, rng, emit_dropped):
+        # random tilings with microsecond segments and cuts near six-decimal
+        # ties, some past 1,024 and 2,048 entries: the writer refuses a tiling
+        # exactly when the reader refuses the same entries written unchecked
+        # (a last entry that rounds to 0 s left out), and the reader's pieces
+        # are the written segments to six decimals, bar snapped seams
+        refused = {"overlapping": 0, "segment": 0}
+        for count in [*rng.integers(1, 60, 40), 1023, 1025, 2047, 2049, 2300] * 2:
+            micro = rng.choice([0.0, 0.003, 0.2])  # share of microsecond segments
+            cuts = [0.0]
+            for u in rng.random(int(count)):
+                step = rng.uniform(1e-7, 4e-6) if u < micro else rng.uniform(1e-5, 2.0)
+                cut = cuts[-1] + float(step)
+                if u > 0.75:  # near a tie: half a microsecond past six decimals
+                    cut = math.floor(cut * 1e6) / 1e6 + 5e-7 + float(rng.uniform(-2e-9, 2e-9))
+                cuts.append(max(cut, math.nextafter(cuts[-1], math.inf)))
+            segs = [Segment(a, b, kept=bool(rng.random() < 0.7)) for a, b in zip(cuts, cuts[1:])]
+            total = cuts[-1]
+            unchecked = [ManifestEntry("a.wav", s.start, s.duration, not s.kept)
+                         for s in segs if s.kept or emit_dropped]
+            if unchecked and not round(unchecked[-1].duration, 6):
+                unchecked.pop()
+            try:
+                entries = segments_to_entries(segs, "a.wav", total, emit_dropped)
+            except ValueError as exc:
+                assert re.match(r"overlapping segments at|segment \[.*\) rounds to a 0 s", str(exc))
+                refused[str(exc).split()[0]] += 1
+                entries = None
+            for fmt in ("yaml", "jsonl"):
+                text = render_manifest(entries if entries is not None else unchecked, {}, fmt)
+                try:
+                    pieces = entries_to_segments(parse_manifest(text)[0], float(f"{total:.6f}"))
+                except ManifestError:
+                    pieces = None
+                assert (entries is None) == (pieces is None), (count, fmt)
+            if entries is None:
+                continue
+            assert entries == unchecked
+            kept = [p for p in pieces if p.kept]
+            written = [e for e in entries if not e.dropped]
+            assert len(kept) == len(written)
+            for p, e in zip(kept, written):
+                # a start snaps to the previous end across a dropped seam
+                assert abs(p.start - e.offset) <= SEAM_TOLERANCE + 1e-6
+                assert abs(p.end - e.end) <= 1.5e-6
+            if emit_dropped:
+                assert [p.kept for p in pieces] == [not e.dropped for e in entries]
+        assert min(refused.values()) > 0 and sum(refused.values()) < 60, refused
+
 
 class TestNormalization:
     def test_gap_fill(self):
@@ -178,6 +230,31 @@ class TestNormalization:
                 written = float(header["total_duration"])
                 stats = compute_stats(entries_to_segments(entries, written), written)
                 assert stats.pct_filtered == 0.0, (n, segments)
+
+    def test_total_short_of_the_last_end_rejected(self):
+        entries = entries3()
+        for total in (10.0, 10.0 - 9e-6, 12.0):
+            assert entries_to_segments(entries, total)[-1].end == max(total, 10.0)
+        for total in (10.0 - 1.1e-5, 5.0, -1.0):
+            with pytest.raises(ManifestError, match=r"^total_duration must be non-negative and "
+                               r"cover the manifest's 10\.000000s, got "):
+                entries_to_segments(entries, total)
+        with pytest.raises(ManifestError, match="^total_duration must be non-negative"):
+            entries_to_segments([], -1.0)
+        assert entries_to_segments([], 0.0) == []
+
+    @pytest.mark.parametrize("total", [math.inf, -math.inf, math.nan])
+    def test_non_finite_total_rejected(self, total):
+        with pytest.raises(ManifestError, match=f"^total_duration must be finite, got {total}$"):
+            entries_to_segments(entries3(), total)
+
+    @pytest.mark.parametrize("spans", [[(1e308, 1e308)], [(0.0, 1e308), (1e308, 1e308)]])
+    def test_end_past_the_float_range_rejected(self, spans):
+        entries = [ManifestEntry("a.wav", offset, duration) for offset, duration in spans]
+        with pytest.raises(ManifestError, match=r"^non-finite end in record at offset 1e\+308$"):
+            entries_to_segments(entries)
+        with pytest.raises(ValueError, match=r"^non-finite end in record at offset 1e\+308$"):
+            segments_to_entries([Segment(0.0, 1e308), Segment(1e308, math.inf)], "a.wav")
 
     def test_overlap_rejected(self):
         entries = [ManifestEntry("a", 0.0, 2.0), ManifestEntry("a", 1.0, 2.0)]
