@@ -185,14 +185,14 @@ def _segmenter(cfg: dict) -> Callable[[int], tuple[Callable[[np.ndarray], None],
 
     Called on the main thread before any input is opened, so a bad value
     names no audio file, and numpy is first imported here rather than in
-    several workers at once.  No strategy keeps the samples: `fixed` needs
-    their count, `vad` and `srpol` a label byte a frame, and the hybrids,
-    --streaming or not, a `PauseScan` holding the open segment's pauses.
+    several workers at once.  No strategy keeps the samples or labels: `fixed`
+    needs their count; the others feed label chunks to a `PauseScan` and read
+    its pauses at the end (`vad`, `srpol`) or split as they go (the hybrids).
     """
-    from .audio import samples_per_frame
-    from .segmenters import HybridParams, Segment, SrpolParams, segment_fixed, segment_srpol
-    from .segmenters import segment_vad_merge
-    from .vad import BlockLabeller, PauseScan, VadConfig, detect_pauses
+    from .audio import frame_time, samples_per_frame
+    from .segmenters import HybridParams, Segment, SrpolParams, segment_between, segment_fixed
+    from .segmenters import segment_srpol
+    from .vad import BlockLabeller, PauseScan, VadConfig
 
     strategy, length = cfg["strategy"], cfg["length"]
     if strategy == "fixed":
@@ -205,36 +205,34 @@ def _segmenter(cfg: dict) -> Callable[[int], tuple[Callable[[np.ndarray], None],
             samples_per_frame(cfg["raw_rate"], vad_cfg.frame_ms)
         except ValueError as exc:
             raise CliError(f"--raw-rate must be usable with --frame-ms: {exc}") from exc
+    min_pause = cfg["min_pause_ms"] if "min_pause_ms" in READS[strategy] else None
     try:
-        if strategy == "srpol":
-            params = SrpolParams(cfg["max_len"])
-        elif strategy != "vad":
-            force = strategy == "hybrid-force"
-            params = HybridParams(cfg["min_len"], cfg["max_len"], force, cfg["juncture_ms"])
+        srpol = SrpolParams(cfg["max_len"]) if strategy == "srpol" else None
+        hybrid = None if strategy in ("vad", "srpol") else HybridParams(
+            cfg["min_len"], cfg["max_len"], strategy == "hybrid-force", cfg["juncture_ms"])
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    def segments(track) -> list[Segment]:
-        if strategy == "vad":
-            return segment_vad_merge(track)
-        pauses, duration = detect_pauses(track, cfg["min_pause_ms"]), track.duration
-        return segment_srpol(Segment(0.0, duration), pauses, params) if duration else []
-
-    def labelled(rate: int):
-        labeller = BlockLabeller(vad_cfg, rate)
-        return labeller.push, lambda duration: segments(labeller.finish())
+    def settle(scan: PauseScan) -> list[Segment]:
+        """`vad` and `srpol`: the segments of every pause, once the labels end."""
+        pauses, span = scan.close(), frame_time(scan.frames_pushed, vad_cfg.frame_ms)
+        if srpol is None:
+            return segment_between(pauses, span)
+        return segment_srpol(Segment(0.0, span), pauses, srpol) if span else []
 
     def scanned(rate: int):
-        scan, out = PauseScan(params, vad_cfg.frame_ms, cfg["min_pause_ms"]), []
-        labeller = BlockLabeller(vad_cfg, rate, lambda chunk: out.extend(scan.push_labels(chunk)))
+        scan, out = PauseScan(hybrid, vad_cfg.frame_ms, min_pause), []
+        sink, end = ((scan.push_runs, settle) if hybrid is None
+                     else (lambda chunk: out.extend(scan.push_labels(chunk)), PauseScan.flush))
+        labeller = BlockLabeller(vad_cfg, rate, sink)
 
         def finish(duration: float) -> list[Segment]:
             labeller.finish()
-            return out + scan.flush()
+            return out + end(scan)
 
         return labeller.push, finish
 
-    return labelled if strategy in ("vad", "srpol") else scanned
+    return scanned
 
 
 def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:

@@ -346,6 +346,9 @@ def _tile(spans, total: float | None = None):
             raise ManifestError(f"non-positive duration in record for {wav!r}")
         start, end = offset if offset > cursor + SEAM_TOLERANCE else cursor, offset + duration
         if offset < cursor - SEAM_TOLERANCE or end <= start:
+            if offset < 0 or end <= offset:  # no neighbour: the record alone is at fault
+                fault = "negative offset" if offset < 0 else "duration below the offset's precision"
+                raise ManifestError(f"{fault} in record for {wav!r}")
             raise ManifestError(f"overlapping segments at offset {offset:.6f}")
         if not math.isfinite(end):  # past the float range
             raise ManifestError(f"non-finite end in record at offset {offset:.6g}")

@@ -122,16 +122,16 @@ def segment_vad_merge(track: FrameLabelTrack) -> list[Segment]:
     Speech runs are kept, non-speech runs are dropped (kept=False); the
     two together tile the full frame timeline.
     """
-    from .audio import frame_time
-    from .vad import label_runs
+    from .vad import detect_pauses
 
-    labels = track.labels
-    return [
-        Segment(
-            frame_time(a, track.frame_ms), frame_time(b, track.frame_ms), kept=bool(labels[a])
-        )
-        for a, b in label_runs(labels)
-    ]
+    return segment_between(detect_pauses(track), track.duration)
+
+
+def segment_between(pauses: list[Pause], end: float) -> list[Segment]:
+    """Tile [0, end) with `pauses` dropped and the time between them kept:
+    :func:`segment_vad_merge` when the pauses are every non-speech run."""
+    cuts = [0.0, *(t for p in pauses for t in (p.start, p.end)), end]
+    return [Segment(a, b, kept=i % 2 == 0) for i, (a, b) in enumerate(zip(cuts, cuts[1:])) if a < b]
 
 
 def segment_srpol(span: Segment, pauses: list[Pause], params: SrpolParams) -> list[Segment]:

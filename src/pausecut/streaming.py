@@ -22,9 +22,10 @@ it.  On every other push the scan would return nothing, so it is
 skipped.  Push emissions plus the flush remainder equal the batch
 result -- exactly, not approximately.
 
-The engine is a `vad.PauseScan` fed frames; CLI `segment` feeds the scan
-label blocks.  It holds no audio: only the VAD's floor window and hangover,
-the stream position, the open run and the open segment's pauses.
+The engine is a `vad.PauseScan` fed frames, the one walk from labels to
+pauses, which `detect_pauses` and CLI `segment` feed label blocks.  It
+holds no audio: only the VAD's floor window and hangover, the stream
+position, the open run and the open segment's pauses.
 `buffered_frames`, the pushed frames after the segment start, is bisected
 from the frame ends with `frame_time`; it is at most max_len plus a frame.
 

@@ -331,12 +331,18 @@ class BlockLabeller:
 
 
 class PauseScan:
-    """The batch hybrid scan over :func:`detect_pauses`, run on label blocks as they come.
+    """The one walk from frame labels to pauses, over label blocks as they come.
 
-    Each push scans up to the open non-speech run, or the labels' end, before
-    which every pause is known.  It holds the open run and the open segment's pauses."""
+    :meth:`push_runs` carries the open non-speech run across blocks and closes
+    each run of at least `min_pause_ms` (default one frame) into a pause;
+    :func:`detect_pauses` is it fed one block.  :meth:`push_labels` adds the
+    batch hybrid scan with `params`, up to the open run or the labels' end,
+    before which every pause is known; it then holds the open segment's pauses."""
 
-    def __init__(self, params: HybridParams, frame_ms: int, min_pause_ms: int):
+    def __init__(self, params: HybridParams | None, frame_ms: int, min_pause_ms: int | None = None):
+        min_pause_ms = frame_ms if min_pause_ms is None else min_pause_ms
+        if not min_pause_ms >= frame_ms:  # nan too
+            raise ValueError(f"min_pause_ms ({min_pause_ms}) must be at least one frame ({frame_ms} ms)")
         self.params, self.frame_ms, self.min_pause_ms = params, frame_ms, min_pause_ms
         self._segment_start, self._frames_pushed, self._finished = 0.0, 0, False
         self._run_start: int | None = None  # first frame of the open non-speech run
@@ -350,26 +356,34 @@ class PauseScan:
     def segment_start(self) -> float:
         return self._segment_start
 
-    def push_labels(self, labels: np.ndarray) -> list[Segment]:
-        """Take the next frames' labels (True: speech); return the segments they settle."""
+    def push_runs(self, labels: np.ndarray) -> None:
+        """Take the next frames' labels (True: speech); each change opens or closes a run."""
         first, self._frames_pushed = self._frames_pushed, self._frames_pushed + len(labels)
-        for a, _ in label_runs(labels):
-            if labels[a]:
-                self._close(first + a)
-            elif self._run_start is None:
+        for a in np.flatnonzero(np.diff(labels, prepend=self._run_start is None)).tolist():
+            if self._run_start is None:
                 self._run_start = first + a
+            else:
+                self._close(first + a)
+
+    def push_labels(self, labels: np.ndarray) -> list[Segment]:
+        """:meth:`push_runs`, then return the segments the labels settle."""
+        self.push_runs(labels)
         known = self._frames_pushed if self._run_start is None else self._run_start
         now = frame_time(known, self.frame_ms)
         return self._emit(split_until(self._pauses, self._segment_start, now, self.params))
+
+    def close(self) -> list[Pause]:
+        """End the open run, if any, at the labels' end; return the pauses not yet emitted."""
+        self._close(self._frames_pushed)
+        return self._pauses
 
     def flush(self) -> list[Segment]:
         """Close the stream and emit everything still pending."""
         if self._finished:
             return []
         self._finished = True
-        self._close(self._frames_pushed)
         end = frame_time(self._frames_pushed, self.frame_ms)
-        return self._emit(split_to_end(self._pauses, self._segment_start, end, self.params))
+        return self._emit(split_to_end(self.close(), self._segment_start, end, self.params))
 
     def _close(self, end: int) -> None:
         """End the open run, if any, before frame `end`: a pause if min_pause_ms long."""
@@ -386,29 +400,13 @@ class PauseScan:
 
 
 def detect_pauses(track: FrameLabelTrack, min_pause_ms: int | None = None) -> list[Pause]:
-    """All maximal non-speech runs of at least `min_pause_ms`, in time order.
+    """All maximal non-speech runs of at least `min_pause_ms`, in time order:
+    a :class:`PauseScan` with no hybrid scan, fed the whole track as one block.
 
     With the default (one frame) every non-speech run is a pause, which is
     what the pause-driven segmenters consume; longer thresholds are for
     reporting.  Returned pauses are sorted, disjoint and maximal.
     """
-    if min_pause_ms is None:
-        min_pause_ms = track.frame_ms
-    if not min_pause_ms >= track.frame_ms:  # nan too
-        raise ValueError(
-            f"min_pause_ms ({min_pause_ms}) must be at least one frame ({track.frame_ms} ms)"
-        )
-    labels = track.labels
-    return [
-        Pause.from_frames(a, b - 1, track.frame_ms)
-        for a, b in label_runs(labels)
-        if not labels[a] and (b - a) * track.frame_ms >= min_pause_ms
-    ]
-
-
-def label_runs(labels: np.ndarray) -> list[tuple[int, int]]:
-    """(first, end) frame indices, end exclusive, of each maximal same-label run."""
-    if len(labels) == 0:
-        return []
-    cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
-    return list(zip([0] + cuts, cuts + [len(labels)]))
+    scan = PauseScan(None, track.frame_ms, min_pause_ms)
+    scan.push_runs(track.labels)
+    return scan.close()

@@ -14,7 +14,7 @@ import pytest
 from pausecut import HybridParams, Segment, SrpolParams, VadConfig, classify, compute_stats
 from pausecut import detect_pauses, read_wav, segment_fixed, segment_hybrid, segment_hybrid_force
 from pausecut import segment_srpol, segment_vad_merge, write_wav
-from pausecut import audio, cli, encode_wav, manifest
+from pausecut import audio, cli, encode_wav, manifest, vad
 from pausecut.cli import STRATEGIES, main
 from pausecut.manifest import entries_to_segments, read_manifest, render_manifest, ManifestEntry
 from pausecut.metrics import boundary_prf, stats_rows
@@ -643,6 +643,28 @@ class TestStats:
             assert captured.err == f"pausecut: error: {expected}\n"
             assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "text,fault",
+        [
+            ("- {wav: a.wav, offset: -5.000000, duration: 1.000000}\n", "negative offset"),
+            ("- {wav: a.wav, offset: -5.0, duration: 1.0}\n", "negative offset"),
+            ('{"wav": "a.wav", "offset": -5.0, "duration": 1.0}\n', "negative offset"),
+            ("- {wav: a.wav, offset: %.6f, duration: 1.000000}\n" % 1e17, "duration below"),
+            ("- {wav: a.wav, offset: 1000.0, duration: 1.0e-20}\n", "duration below"),
+            ('{"wav": "a.wav", "offset": 1000.0, "duration": 1e-20}\n', "duration below"),
+        ],
+        ids=["negative-yaml-as-written", "negative-foreign-yaml", "negative-jsonl",
+             "ulp-yaml-as-written", "ulp-foreign-yaml", "ulp-jsonl"],
+    )
+    def test_record_at_fault_alone_is_no_overlap(self, tmp_path, capsys, text, fault):
+        # one record, so no neighbour it could overlap; the fault is named with its wav
+        path = tmp_path / "m.manifest"
+        path.write_text(text)
+        assert run(["stats", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"pausecut: error: malformed manifest {path}: {fault}")
+        assert captured.err.endswith(" in record for 'a.wav'\n") and captured.out == ""
+
     def test_roundtrip_matches_in_process(self, talk_wav, tmp_path, capsys):
         out = tmp_path / "h.yaml"
         assert run(["segment", "--strategy", "hybrid", "-o", out, talk_wav]) == 0
@@ -1138,10 +1160,14 @@ class TestBlockInput:
         monkeypatch.setattr(audio, "BLOCK_BYTES", 4 << 20)  # the whole 45 s talk in one block
         assert run(["segment", *argv, "--emit-dropped", talk_wav]) == 0
         whole = capsys.readouterr().out
-        for block_bytes in (640, 7_000, 99_999):
+        # labels reach the strategy a FLOOR_CHUNK of frames at a time; smaller
+        # chunks carry the open run across their edges
+        cases = [(640, vad.FLOOR_CHUNK), (7_000, vad.FLOOR_CHUNK), (99_999, vad.FLOOR_CHUNK)]
+        for block_bytes, floor_chunk in [*cases, (640, 1), (7_000, 37), (99_999, 250)]:
             monkeypatch.setattr(audio, "BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(vad, "FLOOR_CHUNK", floor_chunk)
             assert run(["segment", *argv, "--emit-dropped", talk_wav]) == 0
-            assert capsys.readouterr().out == whole
+            assert capsys.readouterr().out == whole, (block_bytes, floor_chunk)
 
     @pytest.mark.parametrize("fmt", ["yaml", "jsonl"])
     @pytest.mark.parametrize("raw", [False, True], ids=["wav", "raw"])

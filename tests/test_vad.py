@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from pausecut import AudioClip, FrameLabelTrack, HybridParams, Pause, VadConfig, classify
-from pausecut import detect_pauses, segment_hybrid, segment_hybrid_force, vad
+from pausecut import Segment, detect_pauses, segment_hybrid, segment_hybrid_force, vad
 from pausecut.audio import iter_frames
+from pausecut.segmenters import segment_between
 from pausecut.vad import (
     FLOOR_CHUNK,
     FLOOR_MAX,
@@ -21,7 +22,7 @@ from pausecut.vad import (
 )
 
 from conftest import clip_from, noisy_clip, silence, speechy_clip, talk_clip, tone
-from oracles import ref_noise_floors, ref_pause_runs, ref_vad_labels
+from oracles import ref_noise_floors, ref_pause_runs, ref_rle_runs, ref_vad_labels
 
 # Frame counts where batch classify changes regime: the cold start ends
 # after FLOOR_WINDOW - 1 frames, and each FLOOR_CHUNK windows after that
@@ -366,6 +367,30 @@ class TestPauseScan:
                 assert all(p.start >= scan.segment_start for p in scan._pauses)
             assert got + scan.flush() == want
             assert scan.flush() == []
+
+    @pytest.mark.parametrize("frame_ms", [10, 20, 30])
+    def test_label_blocks_give_every_pause(self, rng, frame_ms):
+        # with no hybrid params the scan only collects: what detect_pauses and
+        # CLI vad and srpol read, against oracles that share no pausecut code
+        for _ in range(200):
+            labels = random_runs(rng, int(rng.integers(0, 600)), frame_ms, 0.5)
+            cuts = random_cuts(rng, len(labels))
+            for min_pause_ms in range(frame_ms, 12 * frame_ms, frame_ms):
+                scan = PauseScan(None, frame_ms, min_pause_ms)
+                for a, b in zip(cuts, cuts[1:]):
+                    scan.push_runs(labels[a:b])
+                pauses = scan.close()
+                want = ref_pause_runs(labels.tolist(), frame_ms, min_pause_ms)
+                assert [p.frame_span for p in pauses] == want
+                if min_pause_ms == frame_ms:  # every non-speech run: the vad tiling
+                    tiling = segment_between(pauses, len(labels) * frame_ms / 1000)
+                    assert tiling == [Segment(a * frame_ms / 1000, b * frame_ms / 1000, kept)
+                                      for a, b, kept in ref_rle_runs(labels.tolist())]
+
+    def test_min_pause_below_one_frame_refused(self):
+        with pytest.raises(ValueError, match=r"min_pause_ms \(10\) must be at least one frame \(20 ms\)"):
+            PauseScan(HybridParams(), 20, 10)
+        assert PauseScan(HybridParams(), 20).min_pause_ms == 20
 
 
 def _runs(labels):
