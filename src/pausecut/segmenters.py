@@ -44,13 +44,14 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # audio and vad load numpy; manifest readers need none of it
     from .vad import FrameLabelTrack, Pause
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Segment:
     """Half-open time interval [start, end) of the source audio.
 
@@ -62,9 +63,13 @@ class Segment:
     end: float
     kept: bool = True
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"invalid segment [{self.start}, {self.end})")
+    def __init__(self, start: float, end: float, kept: bool = True) -> None:
+        """The generated frozen __init__ and a __post_init__, in one call: scans build thousands."""
+        if not 0 <= start < end:
+            raise ValueError(f"invalid segment [{start}, {end})")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "kept", kept)
 
     @property
     def duration(self) -> float:
@@ -130,6 +135,7 @@ def segment_vad_merge(track: FrameLabelTrack) -> list[Segment]:
 def segment_between(pauses: list[Pause], end: float) -> list[Segment]:
     """Tile [0, end) with `pauses` dropped and the time between them kept:
     :func:`segment_vad_merge` when the pauses are every non-speech run."""
+    _check_inside(pauses, 0.0, end)
     cuts = [0.0, *(t for p in pauses for t in (p.start, p.end)), end]
     return [Segment(a, b, kept=i % 2 == 0) for i, (a, b) in enumerate(zip(cuts, cuts[1:])) if a < b]
 
@@ -143,16 +149,19 @@ def segment_srpol(span: Segment, pauses: list[Pause], params: SrpolParams) -> li
     consumes its pause.  Visited longest first, earliest on ties, each pause
     lies between the cuts of exactly its recursion ancestors: every longer or
     earlier equal pause has cut already, and a piece under max_len never grows.
+    So the walk ends once no piece is max_len long, whatever pauses remain.
     """
-    _check_sorted(pauses)
-    if pauses and (pauses[0].start < span.start or pauses[-1].end > span.end):
-        raise ValueError(f"pauses [{pauses[0].start}, {pauses[-1].end}) outside span")
-    cuts = [span.start, span.end]
-    for p in sorted(pauses, key=lambda p: p.duration, reverse=True):  # stable: earliest first
+    _check_inside(pauses, span.start, span.end)
+    max_len, cuts = params.max_len, [span.start, span.end]
+    long = int(span.duration >= max_len)  # pieces of at least max_len: only they take a cut
+    for p in sorted(pauses, key=attrgetter("duration"), reverse=True):  # stable: earliest first
+        if not long:
+            break
         i = bisect_right(cuts, p.start)
         mid = p.start + p.duration / 2
-        if cuts[i] - cuts[i - 1] >= params.max_len and cuts[i - 1] < mid < cuts[i]:
+        if cuts[i] - cuts[i - 1] >= max_len and cuts[i - 1] < mid < cuts[i]:
             cuts.insert(i, mid)
+            long += (mid - cuts[i - 1] >= max_len) + (cuts[i + 1] - mid >= max_len) - 1
     return [Segment(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
@@ -173,14 +182,16 @@ def _hybrid_scan(
 ) -> list[Segment]:
     if params.force_split != force:
         raise ValueError(f"params.force_split must be {force} for {name}")
-    _check_sorted(pauses)
+    _check_inside(pauses, -math.inf, math.inf)
     return split_to_end(pauses, 0.0, total_duration, params)
 
 
-def _check_sorted(pauses: list[Pause]) -> None:
+def _check_inside(pauses: list[Pause], start: float, end: float) -> None:
     for a, b in zip(pauses, pauses[1:]):
         if b.start < a.end:
             raise ValueError("pauses must be sorted and disjoint")
+    if pauses and (pauses[0].start < start or pauses[-1].end > end):
+        raise ValueError(f"pauses [{pauses[0].start}, {pauses[-1].end}) outside span")
 
 
 def effective_duration(pause: Pause, horizon: float) -> float:
@@ -206,16 +217,19 @@ def split_until(
     last candidate, credited up to the horizon like any pause that reaches
     it: the horizon truncates it, so its final length cannot matter.
     """
-    min_len, force = params.min_len, params.force_split
+    min_len, max_len, force = params.min_len, params.max_len, params.force_split
+    juncture = params.juncture  # a property that divides
+    starts = [p.start for p in pauses]
     n = len(pauses)
     out = []
-    s = start
+    s, first = start, 0
     while True:
-        horizon = s + params.max_len
+        horizon = s + max_len
         b, best_eff, settled = horizon, 0.0, now >= horizon
-        for i in range(bisect_left(pauses, s, key=lambda p: p.start), n + 1):
+        first = bisect_left(starts, s, first)  # s never falls, so neither does the cursor
+        for i in range(first, n + 1):
             if i < n:
-                a = pauses[i].start
+                a = starts[i]
                 if a >= horizon:
                     break
                 if a - s < min_len and not force:
@@ -225,7 +239,7 @@ def split_until(
                 a, eff = open_start, horizon - open_start  # the run reaches the horizon
             else:
                 break
-            if force and eff >= params.juncture:
+            if force and eff >= juncture:
                 b, settled = a + eff / 2, True
                 break
             # a < fl(s + max_len) gives a - s <= max_len in floats too

@@ -126,7 +126,7 @@ class FrameLabelTrack:
         return cls(np.frombuffer(line.encode(), dtype="S1") == b"S", frame_ms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pause:
     """A maximal run of non-speech frames (or a synthetic silent interval).
 

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ from pausecut import (
     segment_vad_merge,
 )
 from pausecut.audio import frame_time
-from pausecut.segmenters import effective_duration, split_until
+from pausecut import segmenters
+from pausecut.segmenters import effective_duration, segment_between, split_until
 
 from conftest import random_pauses
 from oracles import (
@@ -126,6 +130,25 @@ class TestVadMerge:
         ]
         assert [(s.start, s.end, s.kept) for s in segs] == expect
         assert_tiles(segs, t.duration)
+
+    @pytest.mark.parametrize(
+        "pauses, end, message",
+        [
+            ([Pause.at(5.0, 2.0)], 6.0, r"pauses \[5.0, 7.0\) outside span"),
+            ([Pause.at(-1.0, 2.0)], 6.0, r"pauses \[-1.0, 1.0\) outside span"),
+            ([Pause.at(3.0, 2.0), Pause.at(1.0, 1.0)], 10.0, "pauses must be sorted and disjoint"),
+            ([Pause.at(1.0, 2.0), Pause.at(2.5, 1.0)], 10.0, "pauses must be sorted and disjoint"),
+        ],
+        ids=["past-end", "before-zero", "unsorted", "overlapping"],
+    )
+    def test_between_refuses_pauses_that_cannot_tile(self, pauses, end, message):
+        # without the check these gave a dropped piece past the end, or pieces that overlap
+        with pytest.raises(ValueError, match=message):
+            segment_between(pauses, end)
+
+    def test_between_accepts_pauses_that_touch_both_ends(self):
+        got = segment_between([Pause.at(0.0, 1.0), Pause.at(3.0, 2.0)], 5.0)
+        assert [(s.start, s.end, s.kept) for s in got] == [(0.0, 1.0, False), (1.0, 3.0, True), (3.0, 5.0, False)]
 
 
 class TestSpanCheck:
@@ -250,6 +273,69 @@ class TestSrpol:
         assert pause.start + pause.duration / 2 == start
         got = segment_srpol(Segment(0.0, 2 * start), [pause], SrpolParams(20.0))
         assert spans(got) == [(0.0, start), (start, 2 * start)]
+
+    @staticmethod
+    def _visits(monkeypatch) -> list[float]:
+        """The start of every pause segment_srpol visits: it bisects its cuts once for each."""
+        seen, bisect_right = [], segmenters.bisect_right
+        monkeypatch.setattr(segmenters, "bisect_right", lambda a, x: seen.append(x) or bisect_right(a, x))
+        return seen
+
+    def test_stops_once_no_piece_can_take_a_cut(self, monkeypatch):
+        # The three longest pauses leave four pieces under max_len; the
+        # short pauses after them in cut order are never visited.
+        span, params = Segment(0.0, 50.0), SrpolParams(20.0)
+        pauses = [Pause.at(5.0, 0.1), Pause.at(12.0, 0.8), Pause.at(24.5, 1.0), Pause.at(30.0, 0.1),
+                  Pause.at(37.0, 0.6), Pause.at(45.0, 0.1)]
+        visits = self._visits(monkeypatch)
+        got = spans(segment_srpol(span, pauses, params))
+        assert got == ref_srpol(0.0, 50.0, pauses, 20.0) == [(0.0, 12.4), (12.4, 25.0), (25.0, 37.3), (37.3, 50.0)]
+        assert visits == [24.5, 12.0, 37.0]
+
+    def test_stop_matches_oracle_while_short_pauses_remain(self, rng, monkeypatch):
+        visits, stopped = self._visits(monkeypatch), 0
+        for _ in range(300):
+            total = float(rng.uniform(20.0, 300.0))
+            pauses = random_pauses(rng, total, max_pauses=80)
+            max_len = float(rng.uniform(total / 10, total / 2))
+            visits.clear()
+            got = spans(segment_srpol(Segment(0.0, total), pauses, SrpolParams(max_len)))
+            assert got == ref_srpol(0.0, total, pauses, max_len)
+            if len(visits) < len(pauses):  # stopped early: no piece is left to cut
+                assert all(b - a < max_len for a, b in got)
+                stopped += 1
+        assert 100 <= stopped <= 250
+
+    def test_pause_free_stretch_keeps_every_pause_in_play(self, rng, monkeypatch):
+        # [40, 100) holds no pause, so one piece stays at least max_len long
+        # and every pause is visited, down to the shortest.
+        visits = self._visits(monkeypatch)
+        for _ in range(100):
+            pauses = random_pauses(rng, 40.0, max_pauses=30, max_dur=0.5)
+            max_len = float(rng.uniform(2.0, 20.0))
+            visits.clear()
+            got = spans(segment_srpol(Segment(0.0, 100.0), pauses, SrpolParams(max_len)))
+            assert got == ref_srpol(0.0, 100.0, pauses, max_len)
+            assert sorted(visits) == [p.start for p in pauses]
+            assert got[-1][1] - got[-1][0] >= 60.0
+
+    @pytest.mark.parametrize("total, visited", [(19.75, False), (20.0, True)])
+    def test_span_under_max_len_visits_no_pause(self, total, visited, monkeypatch):
+        pauses = [Pause.at(2.0, 0.5), Pause.at(9.0, 1.0), Pause.at(15.0, 0.25)]
+        visits = self._visits(monkeypatch)
+        got = spans(segment_srpol(Segment(0.0, total), pauses, SrpolParams(20.0)))
+        assert got == ref_srpol(0.0, total, pauses, 20.0)
+        assert visits == ([9.0] if visited else [])  # a span of exactly max_len takes one cut
+
+    def test_pause_whose_midpoint_rounds_to_its_start_keeps_its_piece_open(self):
+        # `first` is visited while [64, 100) is the one long piece, and its
+        # midpoint is the piece's start: it cuts nothing, the piece stays
+        # long, and `second` still cuts it.  The recursion would offer
+        # `first` to the same piece forever, so the oracle runs without it.
+        first, second = Pause.at(64.0, math.ulp(64.0)), Pause.at(82.0, math.ulp(64.0))
+        assert first.start + first.duration / 2 == first.start
+        got = spans(segment_srpol(Segment(64.0, 100.0), [first, second], SrpolParams(20.0)))
+        assert got == ref_srpol(64.0, 100.0, [second], 20.0) == [(64.0, 82.0), (82.0, 100.0)]
 
     def test_sub_ulp_pauses_agree_wherever_the_recursion_returns(self, rng):
         """Pauses a few ulps long, whose midpoint may round onto an end.
@@ -443,6 +529,21 @@ class TestHybridOracleAndInvariants:
             )
         assert min(seen.values()) >= 200, seen
 
+    def test_split_until_cursor_matches_two_walk_oracle(self, rng):
+        """Calls that settle many segments from one start list, with pauses
+        before `start` and a run open at each edge of the first window."""
+        seen = dict.fromkeys(["pauses before start", "first pause at or after start", "10+ segments",
+                              *(f"open {edge}" for edge in _OPEN_EDGES)], 0)
+        for _ in range(3000):
+            pauses, start, now, params, open_start, edge = cursor_case(rng)
+            got = spans(split_until(pauses, start, now, params, open_start))
+            assert got == ref_split_until(pauses, start, now, params, open_start)
+            seen["pauses before start"] += bool(pauses) and pauses[0].start < start
+            seen["first pause at or after start"] += bool(pauses) and pauses[0].start >= start
+            seen["10+ segments"] += len(got) >= 10
+            seen[f"open {edge}"] += 1
+        assert min(seen.values()) >= 200, seen
+
     def test_mean_lengths_on_dense_pause_corpus(self, rng):
         # dense terminal junctures: forced splitting drags the mean far
         # below the window start, the plain scan stays at or above it
@@ -500,12 +601,104 @@ def random_split_case(rng):
     return pauses, start, now, params, open_start
 
 
+_OPEN_EDGES = ("none", "before start", "at start", "inside", "at min_len", "at max_len", "later")
+
+
+def cursor_case(rng):
+    """`split_until` arguments on a 1/32 s grid, where every sum is exact.
+
+    `now` lies up to 20 windows past `start`, and the closed pauses begin
+    at it or up to 3 windows before it.  The open run, when there is one, starts
+    before `start`, at an edge of the first window or inside it, or later;
+    the last item names which.
+    """
+    mt = int(rng.integers(2, 100))  # max_len, in ticks
+    lt = mt if rng.random() < 0.25 else int(rng.integers(1, mt + 1))
+    jt = int(rng.choice([4, 8, 16, 32]))  # juncture, in ticks
+    params = HybridParams(lt / 32, mt / 32, bool(rng.random() < 0.5), jt * 1000 // 32)
+    start_t = int(rng.integers(0, 4 * mt))
+    now_t = start_t + int(rng.integers(0, 20 * mt))
+    edge = _OPEN_EDGES[int(rng.integers(0, len(_OPEN_EDGES)))]
+    open_t = {
+        "none": None,
+        "before start": int(rng.integers(0, start_t + 1)) - 1,
+        "at start": start_t,
+        "inside": start_t + int(rng.integers(0, mt)),
+        "at min_len": start_t + lt,
+        "at max_len": start_t + mt,
+        "later": start_t + int(rng.integers(mt, 20 * mt + 1)),
+    }[edge]
+    if open_t is not None:
+        open_t = max(open_t, 0)
+        now_t = max(now_t, open_t + 1)
+    last = now_t if open_t is None else open_t - 1  # closed pauses end by then
+    back = int(rng.integers(0, 3 * mt + 1)) if rng.random() < 0.7 else 0
+    pauses, k = [], max(start_t - back, 0)
+    while True:
+        d = jt if rng.random() < 0.3 else int(rng.integers(1, 3 * jt + 1))
+        if k + d > last:
+            break
+        pauses.append(Pause.at(k / 32, d / 32))
+        k += d + int(rng.integers(1, mt // 2 + 2))
+    return pauses, start_t / 32, now_t / 32, params, None if open_t is None else open_t / 32, edge
+
+
+_RECORDS = [
+    (Segment(1.0, 2.5), "Segment(start=1.0, end=2.5, kept=True)"),
+    (Segment(0.0, 3.0, False), "Segment(start=0.0, end=3.0, kept=False)"),
+    (Pause.at(1.0, 0.5), "Pause(start=1.0, duration=0.5, end=1.5, frame_span=None)"),
+    (Pause.from_frames(3, 7, 20), "Pause(start=0.06, duration=0.1, end=0.16, frame_span=(3, 7))"),
+]
+
+
+@pytest.mark.parametrize("record, text", _RECORDS, ids=lambda x: x if isinstance(x, str) else "")
+class TestSlottedRecords:
+    """Segment and Pause keep a frozen dataclass's contract with slots."""
+
+    def test_frozen(self, record, text):
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, f.name)
+        # a new attribute has no slot; which error says so depends on the Python version
+        with pytest.raises((AttributeError, TypeError)):
+            record.note = "x"
+        assert not hasattr(record, "__dict__")
+
+    def test_dataclass_functions(self, record, text):
+        values = dataclasses.astuple(record)
+        names = {Segment: ("start", "end", "kept"), Pause: ("start", "duration", "end", "frame_span")}[type(record)]
+        assert tuple(f.name for f in dataclasses.fields(record)) == names
+        assert dataclasses.asdict(record) == dict(zip(names, values))
+        assert repr(record) == text
+        twin = type(record)(*values)
+        assert twin == record and hash(twin) == hash(record) == hash(values)
+        assert dataclasses.replace(record) == record
+        moved = dataclasses.replace(record, end=record.end + 1.0)
+        assert moved != record and dataclasses.asdict(moved) == {**dict(zip(names, values)), "end": record.end + 1.0}
+
+    def test_copies_round_trip(self, record, text):
+        copies = [copy.copy(record), copy.deepcopy(record)]
+        copies += [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert type(twin) is type(record) and twin == record and repr(twin) == text
+
+
 class TestSegmentType:
     def test_validation(self):
         with pytest.raises(ValueError):
             Segment(5.0, 5.0)
         with pytest.raises(ValueError):
             Segment(-1.0, 5.0)
+
+    def test_invalid_span_message(self):
+        with pytest.raises(ValueError, match=r"^invalid segment \[2.0, 1.0\)$"):
+            Segment(2.0, 1.0)
+        with pytest.raises(ValueError, match=r"^invalid segment \[1.0, 1.0\)$"):
+            Segment(start=1.0, end=1.0, kept=False)
+        with pytest.raises(ValueError, match=r"^invalid segment \[0.5, 0.25\)$"):
+            dataclasses.replace(Segment(0.5, 1.0), end=0.25)
 
     def test_duration(self):
         assert Segment(1.0, 3.5).duration == 2.5
