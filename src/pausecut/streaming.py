@@ -1,31 +1,13 @@
 """Incremental hybrid segmentation with a MAX_LEN latency bound.
 
 Frames are pushed one at a time; each push runs the energy VAD one step,
-updates pause bookkeeping, and emits every segment whose boundary has
-become determined.  Determination points:
-
-* forced splits (force variant): a pause that reaches the juncture length
-  is the split no later pause can override, so its boundary goes out as
-  soon as the pause closes -- or at the horizon, credited with its extent
-  so far, if it is still open there;
-* window splits: only the horizon s + max_len settles which eligible
-  pause is longest, so the boundary is emitted on the first frame whose
-  end time reaches the horizon.
-
-Because pauses are credited only up to the horizon (see the segmenters
-module), every decision uses past frames only.  A push runs the batch
-scan (`split_until`, one walk per segment over the closed pauses, with
-the open run as its last candidate at the horizon) only when its result
-can differ from the last scan's empty tail: when the push reaches the
-horizon s + max_len, or, in the force variant, when a pause closes on
-it.  On every other push the scan would return nothing, so it is
-skipped.  Push emissions plus the flush remainder equal the batch
-result -- exactly, not approximately.
-
-The engine is a `vad.PauseScan` fed frames, the one walk from labels to
-pauses, which `detect_pauses` and CLI `segment` feed label blocks.  It
-holds no audio: only the VAD's floor window and hangover, the stream
-position, the open run and the open segment's pauses.
+updates the open non-speech run and emits every segment whose boundary
+the frames so far settle.  The engine is a `vad.PauseScan` fed frames:
+the walk from labels to pauses and the settle rule are the ones that
+`detect_pauses` and CLI `segment` feed label blocks, so push emissions
+plus the flush remainder equal the batch result -- exactly, not
+approximately.  It holds no audio: only the VAD's floor window and
+hangover, the stream position, the open run and the open segment's pauses.
 `buffered_frames`, the pushed frames after the segment start, is bisected
 from the frame ends with `frame_time`; it is at most max_len plus a frame.
 
@@ -41,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import asdict
 
 from .audio import Frame, frame_time
-from .segmenters import HybridParams, Segment, split_until
+from .segmenters import HybridParams, Segment
 from .vad import FLOOR_WINDOW, EnergyVad, Pause, PauseScan, VadConfig, frame_energy
 
 _STATE_VERSION = 2
@@ -65,34 +47,21 @@ class StreamingSegmenter(PauseScan):
         """Consume the next frame; return the segments it determined."""
         if self._finished:
             raise RuntimeError("stream already flushed")
-        fm = self.vad_config.frame_ms
-        if frame.frame_ms != fm:
-            raise ValueError(f"frame is {frame.frame_ms} ms but the engine expects {fm} ms")
+        if frame.frame_ms != self.frame_ms:
+            raise ValueError(f"frame is {frame.frame_ms} ms but the engine expects {self.frame_ms} ms")
         if frame.index != self._frames_pushed:
             raise ValueError(
                 f"out-of-order frame: expected index {self._frames_pushed}, got {frame.index}"
             )
 
-        closed = False
+        held = len(self._pauses)
         if self._vad.step(frame_energy(frame.samples)):
             if self._run_start is not None:
                 self._close(frame.index)
-                closed = True
         elif self._run_start is None:
             self._run_start = frame.index
-
         self._frames_pushed += 1
-        now = frame_time(self._frames_pushed, fm)
-        # The last scan ended short of the horizon with no forced split in
-        # the closed pauses; only a new closed pause (force mode) or reaching
-        # the horizon can change that.  Same float test as split_until's.
-        if now < self._segment_start + self.params.max_len and not (
-            closed and self.params.force_split
-        ):
-            return []
-        open_start = None if self._run_start is None else frame_time(self._run_start, fm)
-        segments = split_until(self._pauses, self._segment_start, now, self.params, open_start)
-        return self._emit(segments)
+        return self._settle(held)
 
     # -- checkpointing -----------------------------------------------------
 

@@ -331,13 +331,14 @@ class BlockLabeller:
 
 
 class PauseScan:
-    """The one walk from frame labels to pauses, over label blocks as they come.
+    """The one walk from frame labels to pauses, and the one hybrid scan over them.
 
     :meth:`push_runs` carries the open non-speech run across blocks and closes
     each run of at least `min_pause_ms` (default one frame) into a pause;
-    :func:`detect_pauses` is it fed one block.  :meth:`push_labels` adds the
-    batch hybrid scan with `params`, up to the open run or the labels' end,
-    before which every pause is known; it then holds the open segment's pauses."""
+    :func:`detect_pauses` is it fed one block.  :meth:`push_labels` for label
+    blocks, and the streaming engine's `push_frame` for single frames, then
+    emit what the frames so far settle with `params`; it holds the open
+    segment's pauses."""
 
     def __init__(self, params: HybridParams | None, frame_ms: int, min_pause_ms: int | None = None):
         min_pause_ms = frame_ms if min_pause_ms is None else min_pause_ms
@@ -358,6 +359,8 @@ class PauseScan:
 
     def push_runs(self, labels: np.ndarray) -> None:
         """Take the next frames' labels (True: speech); each change opens or closes a run."""
+        if self._finished:
+            raise RuntimeError("stream already flushed")
         first, self._frames_pushed = self._frames_pushed, self._frames_pushed + len(labels)
         for a in np.flatnonzero(np.diff(labels, prepend=self._run_start is None)).tolist():
             if self._run_start is None:
@@ -367,10 +370,9 @@ class PauseScan:
 
     def push_labels(self, labels: np.ndarray) -> list[Segment]:
         """:meth:`push_runs`, then return the segments the labels settle."""
+        held = len(self._pauses)
         self.push_runs(labels)
-        known = self._frames_pushed if self._run_start is None else self._run_start
-        now = frame_time(known, self.frame_ms)
-        return self._emit(split_until(self._pauses, self._segment_start, now, self.params))
+        return self._settle(held)
 
     def close(self) -> list[Pause]:
         """End the open run, if any, at the labels' end; return the pauses not yet emitted."""
@@ -385,11 +387,34 @@ class PauseScan:
         end = frame_time(self._frames_pushed, self.frame_ms)
         return self._emit(split_to_end(self.close(), self._segment_start, end, self.params))
 
+    def _settle(self, held: int) -> list[Segment]:
+        """Emit what the frames pushed so far settle; `held` pauses were held before the push.
+
+        An open run min_pause_ms long is a pause whatever follows, and
+        split_until credits it up to the horizon s + max_len; a shorter one
+        leaves only the time before its first frame known.  Short of the
+        horizon only a closed juncture settles, so no scan runs there unless a
+        pause closed on this push in force mode (split_until's float test).
+        So a window or horizon split goes out within max_len + min_pause_ms
+        of its segment start, and the emissions plus the flush remainder are
+        the batch scan, whatever the block cuts."""
+        fm, run, known = self.frame_ms, self._run_start, self._frames_pushed
+        if run is not None and (known - run) * fm < self.min_pause_ms:
+            run, known = None, run
+        now, p = frame_time(known, fm), self.params
+        if now >= self._segment_start + p.max_len or p.force_split and len(self._pauses) > held:
+            open_start = None if run is None else frame_time(run, fm)
+            return self._emit(split_until(self._pauses, self._segment_start, now, p, open_start))
+        return []
+
     def _close(self, end: int) -> None:
-        """End the open run, if any, before frame `end`: a pause if min_pause_ms long."""
+        """End the open run, if any, before frame `end`: a pause if min_pause_ms
+        long, kept unless a split has passed its start, after which no scan reads it."""
         first, self._run_start = self._run_start, None
         if first is not None and (end - first) * self.frame_ms >= self.min_pause_ms:
-            self._pauses.append(Pause.from_frames(first, end - 1, self.frame_ms))
+            pause = Pause.from_frames(first, end - 1, self.frame_ms)
+            if pause.start >= self._segment_start:
+                self._pauses.append(pause)
 
     def _emit(self, segments: list[Segment]) -> list[Segment]:
         if segments:

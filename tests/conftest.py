@@ -82,3 +82,10 @@ def random_pauses(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0xC0FFEE)
+
+
+def random_cuts(rng, n: int) -> list[int]:
+    """Block edges in [0, n], repeats (empty blocks) and neighbours (one-frame blocks) included."""
+    cuts = rng.integers(0, n + 1, int(rng.integers(0, 12))).tolist()
+    cuts += [c + 1 for c in cuts if c < n and rng.random() < 0.3]
+    return sorted([0, *cuts, *cuts[: int(rng.integers(0, 3))], n])

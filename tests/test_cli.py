@@ -1135,6 +1135,9 @@ STRATEGY_ARGS = [["--strategy", s] for s in STRATEGIES] + [
     ["--strategy", "hybrid", "--streaming"], ["--strategy", "hybrid-force", "--streaming"]
 ]
 STRATEGY_IDS = [" ".join(a[1:]) for a in STRATEGY_ARGS]
+# a horizon at 5.2 s, inside talk_wav's 5.0-5.3 s silence; pauses of one and three frames
+HORIZON_IN_SILENCE = [["--strategy", s, "--min-len", "4", "--max-len", "5.2", "--min-pause-ms", ms]
+                      for s in ("hybrid", "hybrid-force") for ms in ("20", "60")]
 
 
 def feed_stdin(monkeypatch, data: bytes) -> io.BytesIO:
@@ -1155,7 +1158,8 @@ def src_env() -> dict:
 class TestBlockInput:
     """`segment` reads each input in blocks: from files, pipes and standard input."""
 
-    @pytest.mark.parametrize("argv", STRATEGY_ARGS, ids=STRATEGY_IDS)
+    @pytest.mark.parametrize("argv", STRATEGY_ARGS + HORIZON_IN_SILENCE,
+                             ids=STRATEGY_IDS + [" ".join(a[1:]) for a in HORIZON_IN_SILENCE])
     def test_block_size_does_not_change_the_manifest(self, talk_wav, monkeypatch, capsys, argv):
         monkeypatch.setattr(audio, "BLOCK_BYTES", 4 << 20)  # the whole 45 s talk in one block
         assert run(["segment", *argv, "--emit-dropped", talk_wav]) == 0

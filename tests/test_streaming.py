@@ -18,12 +18,12 @@ from pausecut import (
     segment_hybrid,
     segment_hybrid_force,
 )
-import pausecut.streaming
+import pausecut.vad
 from pausecut.audio import Frame, frame_time
 from pausecut.segmenters import split_until
-from pausecut.vad import Pause, frame_energy
+from pausecut.vad import Pause, PauseScan, frame_energy
 
-from conftest import clip_from, silence, speechy_clip, talk_clip, tone
+from conftest import clip_from, random_cuts, silence, speechy_clip, talk_clip, tone
 
 CALLS = []
 
@@ -243,7 +243,9 @@ class ScanEveryPush(StreamingSegmenter):
         assert frame.index == self._frames_pushed
         if self._vad.step(frame_energy(frame.samples)):
             if self._run_start is not None:
-                self._pauses.append(Pause.from_frames(self._run_start, frame.index - 1, fm))
+                pause = Pause.from_frames(self._run_start, frame.index - 1, fm)
+                if pause.start >= self._segment_start:  # else a split has passed it
+                    self._pauses.append(pause)
                 self._run_start = None
         elif self._run_start is None:
             self._run_start = frame.index
@@ -493,7 +495,7 @@ def scans(monkeypatch):
     """One entry per scan the engine runs."""
     calls = []
     monkeypatch.setattr(
-        pausecut.streaming, "split_until", lambda *a: calls.append(1) or split_until(*a)
+        pausecut.vad, "split_until", lambda *a: calls.append(1) or split_until(*a)
     )
     return calls
 
@@ -553,3 +555,105 @@ class TestEventDrivenScan:
         closed = len(detect_pauses(classify(clip, CFG)))  # includes one still open at the end
         bound = crossings + (closed if params.force_split else 0)
         assert 0 < len(scans) <= bound < len(fs) / 10
+
+
+class TestSettleRule:
+    """Label blocks (`PauseScan.push_labels`) settle what engine frames settle."""
+
+    @pytest.mark.parametrize("frame_ms", [10, 20, 30])
+    @pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
+    def test_label_blocks_settle_at_the_engines_push(self, rng, frame_ms, force):
+        for _ in range(10):
+            params = edge_params(rng, frame_ms, force)
+            cfg = VadConfig(int(rng.integers(0, 4)), frame_ms)
+            clip = horizon_clip(rng, int(rng.integers(50, 1200)), frame_ms, params.max_len)
+            labels = classify(clip, cfg).labels
+            engine, per_frame = StreamingSegmenter(params, cfg), PauseScan(params, frame_ms)
+            emitted = []  # (segment, index of the frame whose push emitted it)
+            for f in frames(clip, frame_ms):
+                out = engine.push_frame(f)
+                assert per_frame.push_labels(labels[f.index : f.index + 1]) == out
+                emitted += [(s, f.index) for s in out]
+            tail = engine.flush()
+            assert per_frame.flush() == tail
+
+            blocks = PauseScan(params, frame_ms)
+            cuts = random_cuts(rng, len(labels))
+            for a, b in zip(cuts, cuts[1:]):
+                assert blocks.push_labels(labels[a:b]) == [s for s, k in emitted if a <= k < b]
+            assert blocks.flush() == tail
+
+    @pytest.mark.parametrize("frame_ms", [10, 20, 30])
+    @pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
+    def test_longer_pauses_settle_within_max_len_plus_min_pause(self, rng, frame_ms, force):
+        for _ in range(10):
+            params = edge_params(rng, frame_ms, force)
+            cfg = VadConfig(int(rng.integers(0, 4)), frame_ms)
+            clip = horizon_clip(rng, int(rng.integers(50, 1200)), frame_ms, params.max_len)
+            track = classify(clip, cfg)
+            min_pause_ms = frame_ms * int(rng.integers(2, 40))
+            batch = segment_hybrid_force if force else segment_hybrid
+            want = batch(detect_pauses(track, min_pause_ms), track.duration, params)
+            scan, got = PauseScan(params, frame_ms, min_pause_ms), []
+            cuts = random_cuts(rng, len(track.labels))
+            for a, b in zip(cuts, cuts[1:]):
+                for s in scan.push_labels(track.labels[a:b]):
+                    # out by the end of the block that holds start + max_len + min_pause_ms
+                    assert frame_time(a, frame_ms) < s.start + params.max_len + min_pause_ms / 1000 + 1e-9
+                    got.append(s)
+            assert got + scan.flush() == want
+
+
+def _burst_clip():
+    """Noise, 5 s of digital silence from frame 100, then noise again from frame 350."""
+    rng = np.random.default_rng(0)
+    noise = lambda n: np.clip(rng.normal(0, 8000, n * 320), -32768, 32767).astype(np.int16)
+    return clip_from(noise(100), np.zeros(250 * 320, np.int16), noise(50))
+
+
+BURST = HybridParams(0.5, 3.0)
+
+
+class TestHeldPauses:
+    """No scan keeps a pause whose start a split has passed: the scan never reads it."""
+
+    def test_split_inside_an_open_run_keeps_no_pause(self):
+        engine = StreamingSegmenter(BURST, CFG)
+        fs = frames(_burst_clip(), 20)
+        _stream(engine, fs[:352])  # the run 104..349 closed after the 5.54 s split in it
+        state = json.loads(engine.save_state())
+        assert state["segment_start"] == 5.54 and state["run_start"] is None
+        assert state["pauses"] == []
+
+    def test_checkpoint_holding_a_passed_pause_still_restores(self):
+        fs = frames(_burst_clip(), 20)
+        solid = StreamingSegmenter(BURST, CFG)
+        expect = _stream(solid, fs) + solid.flush()
+        engine = StreamingSegmenter(BURST, CFG)
+        got = _stream(engine, fs[:352])
+        # what earlier versions wrote here: the closed run that the split passed
+        state = {**json.loads(engine.save_state()), "pauses": [[104, 349]]}
+        resumed = StreamingSegmenter.restore_state(json.dumps(state).encode())
+        assert got + _stream(resumed, fs[352:]) + resumed.flush() == expect
+
+    @pytest.mark.parametrize("frame_ms", [10, 20, 30])
+    @pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
+    def test_no_held_pause_starts_before_the_segment_start(self, rng, frame_ms, force):
+        passed_runs = 0  # pushes with the open run started before the segment
+        for _ in range(10):
+            params = edge_params(rng, frame_ms, force)
+            cfg = VadConfig(int(rng.integers(0, 4)), frame_ms)
+            clip = horizon_clip(rng, int(rng.integers(50, 1200)), frame_ms, params.max_len)
+            engine = StreamingSegmenter(params, cfg)
+            for f in frames(clip, frame_ms):
+                engine.push_frame(f)
+                assert all(p.start >= engine.segment_start for p in engine._pauses)
+                run = engine._run_start
+                passed_runs += run is not None and frame_time(run, frame_ms) < engine.segment_start
+            labels = classify(clip, cfg).labels
+            scan = PauseScan(params, frame_ms, frame_ms * int(rng.integers(1, 4)))
+            cuts = random_cuts(rng, len(labels))
+            for a, b in zip(cuts, cuts[1:]):
+                scan.push_labels(labels[a:b])
+                assert all(p.start >= scan.segment_start for p in scan._pauses)
+        assert passed_runs > 0

@@ -21,7 +21,7 @@ from pausecut.vad import (
     frame_energy,
 )
 
-from conftest import clip_from, noisy_clip, silence, speechy_clip, talk_clip, tone
+from conftest import clip_from, noisy_clip, random_cuts, silence, speechy_clip, talk_clip, tone
 from oracles import ref_noise_floors, ref_pause_runs, ref_rle_runs, ref_vad_labels
 
 # Frame counts where batch classify changes regime: the cold start ends
@@ -339,13 +339,6 @@ def random_runs(rng, n_frames: int, frame_ms: int, max_len: float) -> np.ndarray
     return labels
 
 
-def random_cuts(rng, n: int) -> list[int]:
-    """Block edges in [0, n], repeats (empty blocks) and neighbours (one-frame blocks) included."""
-    cuts = rng.integers(0, n + 1, int(rng.integers(0, 12))).tolist()
-    cuts += [c + 1 for c in cuts if c < n and rng.random() < 0.3]
-    return sorted([0, *cuts, *cuts[: int(rng.integers(0, 3))], n])
-
-
 class TestPauseScan:
     @pytest.mark.parametrize("frame_ms", [10, 20, 30])
     @pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
@@ -386,6 +379,15 @@ class TestPauseScan:
                     tiling = segment_between(pauses, len(labels) * frame_ms / 1000)
                     assert tiling == [Segment(a * frame_ms / 1000, b * frame_ms / 1000, kept)
                                       for a, b, kept in ref_rle_runs(labels.tolist())]
+
+    @pytest.mark.parametrize("method", ["push_labels", "push_runs"])
+    def test_labels_after_flush_refused(self, method):
+        scan = PauseScan(HybridParams(1.0, 2.0), 20)
+        assert scan.push_labels(np.ones(160, bool)) == [Segment(0.0, 2.0)]
+        assert scan.flush() == [Segment(2.0, 3.2)]
+        with pytest.raises(RuntimeError, match="stream already flushed"):
+            getattr(scan, method)(np.ones(310, bool))
+        assert scan.frames_pushed == 160 and scan.segment_start == 3.2 and scan.flush() == []
 
     def test_min_pause_below_one_frame_refused(self):
         with pytest.raises(ValueError, match=r"min_pause_ms \(10\) must be at least one frame \(20 ms\)"):
