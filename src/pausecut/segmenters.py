@@ -108,14 +108,15 @@ class SrpolParams:
     max_len: float = 20.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.max_len < math.inf:  # nan too
+        m = self.max_len  # a number as HybridParams takes it: True is not 1 s
+        if isinstance(m, bool) or not isinstance(m, (int, float)) or not 0 < m < math.inf:
             raise ValueError("max_len must be positive and finite")
 
 
 def segment_fixed(total_duration: float, length: float) -> list[Segment]:
     """Tile [0, total_duration) with `length`-second segments, the last ending
     at total_duration: with no pause, every split is the horizon s + length."""
-    if not length > 0:
+    if isinstance(length, bool) or not isinstance(length, (int, float)) or not length > 0:
         raise ValueError("length must be positive")
     length = min(length, sys.float_info.max)  # inf cuts nothing, as the largest float does
     return split_to_end([], 0.0, total_duration, HybridParams(length, length))

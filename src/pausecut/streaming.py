@@ -1,9 +1,9 @@
 """Incremental hybrid segmentation with a MAX_LEN latency bound.
 
-Frames are pushed one at a time; each push runs the energy VAD one step,
-updates the open non-speech run and emits every segment whose boundary
-the frames so far settle.  The engine is a `vad.PauseScan` fed frames:
-the walk from labels to pauses and the settle rule are the ones that
+Frames are pushed one at a time; each push runs the energy VAD one step
+and emits every segment whose boundary the frames so far settle.  The
+engine is a `vad.PauseScan` fed frames, and takes no label blocks: the
+run toggle, the settle rule and the end are the ones that
 `detect_pauses` and CLI `segment` feed label blocks, so push emissions
 plus the flush remainder equal the batch result -- exactly, not
 approximately.  It holds no audio: only the VAD's floor window and
@@ -43,6 +43,10 @@ class StreamingSegmenter(PauseScan):
         fm, n, s = self.frame_ms, self._frames_pushed, self._segment_start
         return n - bisect_right(range(1, n + 1), s, key=lambda k: frame_time(k, fm))
 
+    def push_runs(self, labels) -> None:
+        """Refused, as `push_labels` is: the engine labels frames with its own VAD."""
+        raise TypeError("StreamingSegmenter takes frames: call push_frame, not label blocks")
+
     def push_frame(self, frame: Frame) -> list[Segment]:
         """Consume the next frame; return the segments it determined."""
         if self._finished:
@@ -55,11 +59,8 @@ class StreamingSegmenter(PauseScan):
             )
 
         held = len(self._pauses)
-        if self._vad.step(frame_energy(frame.samples)):
-            if self._run_start is not None:
-                self._close(frame.index)
-        elif self._run_start is None:
-            self._run_start = frame.index
+        if self._vad.step(frame_energy(frame.samples)) == (self._run_start is not None):
+            self._toggle(frame.index)  # speech ends the open run; non-speech opens one
         self._frames_pushed += 1
         return self._settle(held)
 

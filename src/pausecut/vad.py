@@ -333,12 +333,12 @@ class BlockLabeller:
 class PauseScan:
     """The one walk from frame labels to pauses, and the one hybrid scan over them.
 
-    :meth:`push_runs` carries the open non-speech run across blocks and closes
-    each run of at least `min_pause_ms` (default one frame) into a pause;
-    :func:`detect_pauses` is it fed one block.  :meth:`push_labels` for label
-    blocks, and the streaming engine's `push_frame` for single frames, then
-    emit what the frames so far settle with `params`; it holds the open
-    segment's pauses."""
+    :meth:`_toggle` alone opens and closes non-speech runs, at each label change in
+    a :meth:`push_runs` block or a streaming `push_frame`, and keeps each run of at
+    least `min_pause_ms` (default one frame) as a pause; :func:`detect_pauses` is it
+    fed one block.  :meth:`push_labels` and `push_frame` emit what the frames so far
+    settle with `params`; it holds the open segment's pauses.  :meth:`close` ends
+    the stream, :meth:`flush` ends it with the remainder, and later pushes raise."""
 
     def __init__(self, params: HybridParams | None, frame_ms: int, min_pause_ms: int | None = None):
         min_pause_ms = frame_ms if min_pause_ms is None else min_pause_ms
@@ -363,10 +363,7 @@ class PauseScan:
             raise RuntimeError("stream already flushed")
         first, self._frames_pushed = self._frames_pushed, self._frames_pushed + len(labels)
         for a in np.flatnonzero(np.diff(labels, prepend=self._run_start is None)).tolist():
-            if self._run_start is None:
-                self._run_start = first + a
-            else:
-                self._close(first + a)
+            self._toggle(first + a)
 
     def push_labels(self, labels: np.ndarray) -> list[Segment]:
         """:meth:`push_runs`, then return the segments the labels settle."""
@@ -375,15 +372,14 @@ class PauseScan:
         return self._settle(held)
 
     def close(self) -> list[Pause]:
-        """End the open run, if any, at the labels' end; return the pauses not yet emitted."""
-        self._close(self._frames_pushed)
+        """End the stream and its open run, if any; return the pauses not yet emitted."""
+        self._finished = True
+        if self._run_start is not None:
+            self._toggle(self._frames_pushed)
         return self._pauses
 
     def flush(self) -> list[Segment]:
-        """Close the stream and emit everything still pending."""
-        if self._finished:
-            return []
-        self._finished = True
+        """:meth:`close`, then emit the rest of the stream; a second flush finds none."""
         end = frame_time(self._frames_pushed, self.frame_ms)
         return self._emit(split_to_end(self.close(), self._segment_start, end, self.params))
 
@@ -407,12 +403,12 @@ class PauseScan:
             return self._emit(split_until(self._pauses, self._segment_start, now, p, open_start))
         return []
 
-    def _close(self, end: int) -> None:
-        """End the open run, if any, before frame `end`: a pause if min_pause_ms
-        long, kept unless a split has passed its start, after which no scan reads it."""
-        first, self._run_start = self._run_start, None
-        if first is not None and (end - first) * self.frame_ms >= self.min_pause_ms:
-            pause = Pause.from_frames(first, end - 1, self.frame_ms)
+    def _toggle(self, i: int) -> None:
+        """A label change before frame `i`: open a run there, or end the open one, a
+        pause if min_pause_ms long, kept unless a split has passed its start (no scan reads it)."""
+        first, self._run_start = self._run_start, i if self._run_start is None else None
+        if first is not None and (i - first) * self.frame_ms >= self.min_pause_ms:
+            pause = Pause.from_frames(first, i - 1, self.frame_ms)
             if pause.start >= self._segment_start:
                 self._pauses.append(pause)
 

@@ -1,4 +1,5 @@
-"""Each narrative demo runs to completion against the package source."""
+"""Each narrative demo runs to completion against the package source, as
+users run it with every warning an error, and writes nothing to stderr."""
 
 import os
 import subprocess
@@ -19,7 +20,8 @@ def test_demos_found():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
-        timeout=300,
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -69,8 +69,9 @@ class TestFixed:
             segment_fixed(-1.0, 5.0)
 
     def test_nan_length_refused(self):
-        with pytest.raises(ValueError, match="length must be positive"):
-            segment_fixed(10.0, math.nan)
+        for length in (math.nan, True, "5"):
+            with pytest.raises(ValueError, match="length must be positive"):
+                segment_fixed(10.0, length)
 
     def test_tiling_and_bound(self, rng):
         for _ in range(50):
@@ -196,7 +197,7 @@ class TestSrpol:
         got = segment_srpol(span, pauses, SrpolParams(20.0))
         assert got[0].end == 10.25
 
-    @pytest.mark.parametrize("max_len", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("max_len", [0.0, -1.0, math.nan, math.inf, True, "5"])
     def test_non_positive_max_len_rejected(self, max_len):
         with pytest.raises(ValueError, match="max_len must be positive"):
             SrpolParams(max_len)

@@ -118,6 +118,16 @@ class TestFlush:
         with pytest.raises(RuntimeError, match="flushed"):
             engine.push_frame(frames(clip_from(tone(0.1)), 20)[0])
 
+    def test_push_after_close_rejected(self):
+        # a frame after close() would open a second run beside the first: [(0, 9), (10, 10)]
+        engine = StreamingSegmenter(PLAIN, CFG)
+        fs = frames(clip_from(silence(0.22)), 20)
+        assert _stream(engine, fs[:10]) == []
+        assert [p.frame_span for p in engine.close()] == [(0, 9)]
+        with pytest.raises(RuntimeError, match="stream already flushed"):
+            engine.push_frame(fs[10])
+        assert engine.frames_pushed == 10 and [p.frame_span for p in engine.close()] == [(0, 9)]
+
     def test_second_flush_is_empty(self):
         engine = StreamingSegmenter(PLAIN, CFG)
         for frame in frames(clip_from(tone(1.0)), 20):
@@ -150,6 +160,17 @@ class TestValidation:
         assert engine.save_state() == before
         engine.push_frame(fs[7])
         assert engine.frames_pushed == 8
+
+    @pytest.mark.parametrize("method", ["push_labels", "push_runs"])
+    def test_label_blocks_refused(self, method):
+        # labels would move the stream 5 frames past a VAD window of 3 energies
+        engine = StreamingSegmenter(HybridParams(1.0, 2.0))
+        assert _stream(engine, frames(clip_from(silence(0.06)), 20)) == []
+        blob = engine.save_state()
+        with pytest.raises(TypeError, match="push_frame"):
+            getattr(engine, method)(np.zeros(5, bool))
+        assert engine.frames_pushed == 3 and engine.save_state() == blob
+        assert StreamingSegmenter.restore_state(engine.save_state()).save_state() == blob
 
 
 class TestBatchEquivalence:

@@ -389,6 +389,23 @@ class TestPauseScan:
             getattr(scan, method)(np.ones(310, bool))
         assert scan.frames_pushed == 160 and scan.segment_start == 3.2 and scan.flush() == []
 
+    @pytest.mark.parametrize("method", ["push_labels", "push_runs"])
+    def test_labels_after_close_refused(self, method):
+        # labels after close() would cut the ten-frame run into [(0, 4), (5, 9)]
+        scan = PauseScan(None if method == "push_runs" else HybridParams(1.0, 2.0), 20)
+        scan.push_runs(np.zeros(5, bool))
+        assert [p.frame_span for p in scan.close()] == [(0, 4)]
+        with pytest.raises(RuntimeError, match="stream already flushed"):
+            getattr(scan, method)(np.zeros(5, bool))
+        assert scan.frames_pushed == 5 and [p.frame_span for p in scan.close()] == [(0, 4)]
+
+    def test_flush_after_close_emits_the_remainder(self):
+        scan = PauseScan(HybridParams(1.0, 2.0), 20)
+        assert scan.push_labels(np.ones(160, bool)) == [Segment(0.0, 2.0)]
+        assert scan.close() == []
+        assert scan.flush() == [Segment(2.0, 3.2)]
+        assert scan.flush() == [] and scan.segment_start == 3.2
+
     def test_min_pause_below_one_frame_refused(self):
         with pytest.raises(ValueError, match=r"min_pause_ms \(10\) must be at least one frame \(20 ms\)"):
             PauseScan(HybridParams(), 20, 10)
