@@ -20,7 +20,7 @@ import os
 import re
 from dataclasses import dataclass
 
-from .segmenters import Segment
+from .segmenters import Segment, finite
 
 YAML_FORMAT = "yaml"
 JSONL_FORMAT = "jsonl"
@@ -302,13 +302,8 @@ def _entry_from_record(record) -> ManifestEntry:
 
 
 def _seconds(value, key: str, record: dict) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            seconds = float(value)
-        except OverflowError:  # an int past the float range
-            seconds = math.inf
-        if math.isfinite(seconds):
-            return seconds
+    if finite(value):
+        return float(value)
     raise ManifestError(f"bad manifest record {record!r}: {key} must be a finite number")
 
 

@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-from .segmenters import Segment
+from .segmenters import Segment, finite
 
 STATS_ROW_LABELS = ("% filtered", "Num segm.", "Max len (s)", "Min len (s)", "Avg len (s)")
 
@@ -69,6 +69,8 @@ def boundary_prf(
     against an exhaustive matcher on realistic densities.  Degenerate
     empty sides score 1.0 so identical segmentations always get F1 = 1.
     """
+    if not (finite(tolerance) and tolerance >= 0):  # nan matches nothing
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     hyp = internal_boundaries(hypothesis)
     ref = internal_boundaries(reference)
     hits = 0

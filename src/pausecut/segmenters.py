@@ -51,7 +51,14 @@ if TYPE_CHECKING:  # audio and vad load numpy; manifest readers need none of it
     from .vad import FrameLabelTrack, Pause
 
 
-@dataclass(frozen=True, slots=True, init=False)
+def finite(value) -> bool:
+    """The one rule for seconds and milliseconds: an int or float, not a bool, within the
+    float range.  NaN, +-inf and ints past the largest float fail, none with OverflowError."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
+
+
+@dataclass(frozen=True, slots=True)
 class Segment:
     """Half-open time interval [start, end) of the source audio.
 
@@ -63,13 +70,9 @@ class Segment:
     end: float
     kept: bool = True
 
-    def __init__(self, start: float, end: float, kept: bool = True) -> None:
-        """The generated frozen __init__ and a __post_init__, in one call: scans build thousands."""
-        if not 0 <= start < end:
-            raise ValueError(f"invalid segment [{start}, {end})")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "kept", kept)
+    def __post_init__(self) -> None:
+        if not 0 <= self.start < self.end:
+            raise ValueError(f"invalid segment [{self.start}, {self.end})")
 
     @property
     def duration(self) -> float:
@@ -85,9 +88,7 @@ class HybridParams:
 
     def __post_init__(self) -> None:
         for name in ("min_len", "max_len", "juncture_ms"):  # as a checkpoint's JSON holds them
-            value = getattr(self, name)
-            if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or not math.isfinite(value)):
+            if not finite(value := getattr(self, name)):
                 raise ValueError(f"{name} must be a finite int or float, got {value!r}")
         if not 0 < self.min_len <= self.max_len:
             raise ValueError(
@@ -108,8 +109,7 @@ class SrpolParams:
     max_len: float = 20.0
 
     def __post_init__(self) -> None:
-        m = self.max_len  # a number as HybridParams takes it: True is not 1 s
-        if isinstance(m, bool) or not isinstance(m, (int, float)) or not 0 < m < math.inf:
+        if not (finite(self.max_len) and self.max_len > 0):  # True is not 1 s
             raise ValueError("max_len must be positive and finite")
 
 

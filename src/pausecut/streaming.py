@@ -98,9 +98,9 @@ class StreamingSegmenter(PauseScan):
             spans = [*state["pauses"], *([] if run is None else [[run, run]])]  # the run comes last
             if not (type(n) is int and len(state["vad_window"]) == min(n, FLOOR_WINDOW)
                     and type(start) is float and 0 <= start <= frame_time(n, fm)
-                    and type(state["finished"]) is bool
-                    and all(type(a) is type(b) is int and last < a <= b < n
-                            for last, (a, b) in zip([-1] + [b for _, b in spans], spans))):
+                    and type(state["finished"]) is bool and (run is None or not state["finished"])
+                    and all(type(a) is type(b) is int and last + 1 < a <= b < n  # speech between
+                            for last, (a, b) in zip([-2] + [b for _, b in spans], spans))):
                 raise ValueError("a position, window length, run, pause or flag out of range")
             engine._vad = EnergyVad(engine.vad_config, state["vad_window"], state["vad_hangover"])
             engine._frames_pushed, engine._segment_start, engine._run_start = n, start, run

@@ -404,6 +404,8 @@ class TestOptionValues:
         ("segment", "max_len", "inf"): "max_len must be a finite int or float, got inf",
         ("hybrid-force", "max_len", "inf"): "max_len must be a finite int or float, got inf",
         ("srpol", "max_len", "inf"): "max_len must be positive",
+        ("hybrid-force", "juncture_ms", "1" + "0" * 400):
+            "juncture_ms must be a finite int or float, got 1" + "0" * 400,
     }
 
     @pytest.mark.parametrize("source", ["flag", "env", "config"])
@@ -427,6 +429,7 @@ class TestOptionValues:
             ("srpol", "max_len", "inf"),
             ("segment", "max_len", "inf"),
             ("hybrid-force", "max_len", "inf"),
+            pytest.param("hybrid-force", "juncture_ms", "1" + "0" * 400, id="juncture-int-past-float"),
             ("segment", "raw_rate", "0"),
             ("segment", "raw_rate", "8001"),
             ("segment", "raw_rate", "9000000"),

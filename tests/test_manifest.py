@@ -4,6 +4,7 @@ import math
 import os
 import re
 import stat
+import sys
 
 import numpy as np
 import pytest
@@ -581,6 +582,8 @@ class TestRecordTypes:
             '{"wav": "a.wav", "offset": 0.0, "duration": 1e999}',
             '{"wav": "a.wav", "offset": "0.0", "duration": 1.0}',
             '{"wav": "a.wav", "offset": false, "duration": 1.0}',
+            '{"wav": "a.wav", "offset": 1' + "0" * 400 + ', "duration": 1.0}',
+            '{"wav": "a.wav", "offset": 0, "duration": %d}' % (int(sys.float_info.max) + 1),
         ],
         ids=[
             "wav-bool", "wav-hex-int", "wav-null", "wav-sexagesimal", "wav-int", "wav-date",
@@ -588,7 +591,8 @@ class TestRecordTypes:
             "offset-bool", "duration-null", "offset-int-past-float", "dropped-str",
             "dropped-int", "dropped-null", "jsonl-dropped-str", "jsonl-wav-int",
             "jsonl-offset-nan", "jsonl-duration-infinity", "jsonl-duration-overflow",
-            "jsonl-offset-str", "jsonl-offset-bool",
+            "jsonl-offset-str", "jsonl-offset-bool", "jsonl-offset-int-past-float",
+            "jsonl-duration-int-above-largest-float",
         ],
     )
     def test_mistyped_value_rejected(self, loader, text):

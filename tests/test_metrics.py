@@ -132,6 +132,16 @@ class TestBoundaryPrf:
             hits = round(score.precision * len(hyp))
             assert hits == ref_optimal_boundary_hits(tuple(hyp), tuple(ref), tol)
 
+    @pytest.mark.parametrize(
+        "tolerance",
+        [math.nan, math.inf, -math.inf, -0.1, 10**400, True, "0.5", None],
+        ids=["nan", "inf", "minus-inf", "negative", "int-past-float", "bool", "str", "none"],
+    )
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        segs = segment_fixed(50.0, 12.0)
+        with pytest.raises(ValueError, match="^tolerance must be finite and non-negative, got "):
+            boundary_prf(segs, segs, tolerance)
+
     def test_internal_boundaries(self):
         segs = [Segment(0, 4), Segment(4, 8), Segment(8, 10)]
         assert internal_boundaries(segs) == [4, 8]

@@ -197,7 +197,9 @@ class TestSrpol:
         got = segment_srpol(span, pauses, SrpolParams(20.0))
         assert got[0].end == 10.25
 
-    @pytest.mark.parametrize("max_len", [0.0, -1.0, math.nan, math.inf, True, "5"])
+    @pytest.mark.parametrize(
+        "max_len", [0.0, -1.0, math.nan, math.inf, True, "5", pytest.param(10**400, id="int-past-float")]
+    )
     def test_non_positive_max_len_rejected(self, max_len):
         with pytest.raises(ValueError, match="max_len must be positive"):
             SrpolParams(max_len)
@@ -412,7 +414,9 @@ class TestHybrid:
     @pytest.mark.parametrize(
         "field, value",
         [("min_len", math.nan), ("max_len", math.inf), ("max_len", math.nan),
-         ("juncture_ms", math.inf), ("juncture_ms", math.nan)],
+         ("juncture_ms", math.inf), ("juncture_ms", math.nan)]
+        + [pytest.param(field, 10**400, id=f"{field}-int-past-float")
+           for field in ("min_len", "max_len", "juncture_ms")],
     )
     def test_non_finite_params_refused(self, force, field, value):
         # a non-finite length or juncture cuts nothing, and strict JSON cannot hold it

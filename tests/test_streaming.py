@@ -345,17 +345,21 @@ _IMPOSSIBLE = {
     "run-start-fraction": _checkpoint(run_start=209.5),
     "finished-text": _checkpoint(finished="no"),
     "finished-int": _checkpoint(finished=0),
+    "finished-with-open-run": _checkpoint(finished=True),
     "pause-fraction": _checkpoint(pauses=[[129.5, 154]]),
     "pause-past-end": _checkpoint(pauses=[[129, 220]]),
     "pause-reversed": _checkpoint(pauses=[[154, 129]]),
     "pauses-out-of-order": _checkpoint(pauses=[[150, 160], [129, 140]]),
     "pauses-overlapping": _checkpoint(pauses=[[129, 154], [154, 160]]),
+    "pauses-touching": _checkpoint(pauses=[[129, 140], [141, 154]]),
+    "pause-touching-run": _checkpoint(pauses=[[129, 208]]),
     "pause-past-run-start": _checkpoint(pauses=[[129, 154], [200, 215]]),
     "force-split-text": _checkpoint(params={**_PARAMS, "force_split": "no"}),
     "force-split-int": _checkpoint(params={**_PARAMS, "force_split": 1}),
     "max-len-inf": _checkpoint(params={**_PARAMS, "max_len": float("inf")}),
     "juncture-nan": _checkpoint(params={**_PARAMS, "juncture_ms": float("nan")}),
     "juncture-inf": _checkpoint(params={**_PARAMS, "juncture_ms": float("inf")}),
+    "juncture-int-past-float": _checkpoint(params={**_PARAMS, "juncture_ms": 10**400}),
 }
 
 
