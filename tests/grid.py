@@ -49,6 +49,12 @@ CLIPS = {
     "odd-rate": (11025, 3 * 11025, 0),  # frames of no whole sample count: exit 1
 }
 SHAPES = ("empty", "one-sample", "sub-frame", "frames", "ragged", "quiet-end", "phone", "odd-rate")
+# Copies of the talk under names on both sides of the YAML writer's plain-name
+# rule (letters, digits, `_`, `.` and `-`, not leading with the last two, then
+# `.ext`): one inside it, then names it leaves to a read-back, plain or quoted.
+# The last is a non-UTF-8 file name as Python sees it on POSIX.
+NAMES = {"dotted": "rec-1_a.2.WAV", "space": "my talk.wav", "dash": "-x.wav",
+         "time": "rec_12:30:00.wav", "hash": "#1.wav", "yes": "yes", "non-utf8": "talk\udcff.wav"}
 
 # Manifests for `stats` and `compare`, each covering 20 s.
 MANIFESTS = {
@@ -121,7 +127,8 @@ def _write_wav(path: Path, samples: np.ndarray, rate: int) -> None:
 
 
 def write_inputs(tmp: Path) -> None:
-    """Every clip as `<name>.wav`, the talk as raw PCM and as an unfinalised WAV, and MANIFESTS."""
+    """Every clip as `<name>.wav`, the talk as raw PCM, as an unfinalised WAV and
+    under each of NAMES, and MANIFESTS."""
     for seed, (name, (rate, n, tail)) in enumerate(CLIPS.items(), 1):
         samples = _samples(seed, n, rate, tail)
         _write_wav(tmp / f"{name}.wav", samples, rate)
@@ -130,6 +137,8 @@ def write_inputs(tmp: Path) -> None:
     data = bytearray((tmp / "talk.wav").read_bytes())
     data[40:44] = b"\xff" * 4  # a capture tool's data size, never finalised
     (tmp / "unfinalised.wav").write_bytes(data)
+    for name in NAMES.values():
+        (tmp / name).write_bytes((tmp / "talk.wav").read_bytes())
     for name, text in MANIFESTS.items():
         (tmp / name).write_bytes(text.encode())
 
@@ -197,7 +206,9 @@ def cells() -> list[Cell]:
     out.append(_segment("three-stdin", ["talk.wav", "-", "phone.wav"], "hybrid", "--jobs", "2",
                         stdin="frames.wav"))
     out.append(_segment("three-odd-rate", ["talk.wav", "odd-rate.wav", "frames.wav"], "srpol", "--jobs", "2"))
-    # pausecut's refusals
+    # wav names on either side of the writer's plain-name rule, in YAML
+    for slug, name in NAMES.items():
+        out.append(_segment(f"name-{slug}", [name], "hybrid"))
     out += [
         _segment("missing-input", ["missing.wav"], "hybrid", err_fields=3),  # the OS's words
         _segment("jobs-zero", ["talk.wav"], "hybrid", "--jobs", "0"),
@@ -211,7 +222,8 @@ def cells() -> list[Cell]:
         Cell("min-len-past-max", ("segment", "--min-len", "30", "{tmp}/talk.wav")),
     ]
     # stats and compare on JSON lines, pausecut YAML and MuST-C YAML
-    for name in ("ref.jsonl", "hyp.yaml", "mustc.yaml", "talk-vad-20-yaml.yaml", "talk-srpol-30-jsonl.jsonl"):
+    for name in ("ref.jsonl", "hyp.yaml", "mustc.yaml", "talk-vad-20-yaml.yaml", "talk-srpol-30-jsonl.jsonl",
+                 "name-space.yaml", "name-non-utf8.yaml"):
         out.append(Cell(f"stats-{name}", ("stats", f"{{tmp}}/{name}")))
         out.append(Cell(f"stats-json-{name}", ("stats", "--json", f"{{tmp}}/{name}")))
     out.append(Cell("stats-total", ("stats", "--json", "--total-duration", "25", "{tmp}/mustc.yaml")))
