@@ -236,8 +236,6 @@ def _segmenter(cfg: dict) -> Callable[[int], tuple[Callable[[np.ndarray], None],
 
 
 def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
     from .audio import block_rate, iter_pcm16_chunks, iter_wav_chunks
     from .manifest import render_manifest, segments_to_entries, write_manifest
 
@@ -297,8 +295,13 @@ def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
             raise CliError(f"{path}: {exc}") from exc
 
     workers = cfg["jobs"] or min(len(args.inputs), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(process, args.inputs))
+    if workers == 1:  # in input order, the first failure raised, as pool.map gives them
+        results = [process(path) for path in args.inputs]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(process, args.inputs))
 
     total = sum(duration for duration, _ in results)
     entries = [e for _, file_entries in results for e in file_entries]

@@ -104,14 +104,24 @@ def render_manifest(
     raise ValueError(f"unknown manifest format {fmt!r}")
 
 
+# Names plain with no read-back: no space, break or flow indicator, no leading
+# indicator, and an end, `.` then a letter and alphanumerics, that no YAML 1.1
+# implicit type in PyYAML's resolver can end with: bool, null, int, float
+# (`.inf` and `.nan` too), timestamp, `<<` and `=`.
+_PLAIN_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*\.[A-Za-z][A-Za-z0-9]*")
+
+
 def _yaml_scalar(text: str) -> str:
     """`text` as a flow scalar that loads back as the same string.
 
-    Plain when it holds no line break, so each record stays one line, and a
-    record holding it plain reads back as itself under the pure and the
-    libyaml loader.  Otherwise double-quoted with Python's escapes, which
-    are YAML's; JSON's would write a character past U+FFFF as two surrogates.
+    Plain when `_PLAIN_NAME` matches it, with no PyYAML; else plain when it
+    holds no line break, so each record stays one line, and a record holding
+    it plain reads back as itself under the pure and the libyaml loader.
+    Otherwise double-quoted with Python's escapes, which are YAML's; JSON's
+    would write a character past U+FFFF as two surrogates.
     """
+    if _PLAIN_NAME.fullmatch(text):
+        return text
     if set(text).isdisjoint("\r\n\x85\u2028\u2029") and all(
         _reads_back(text, loader) for loader in _lazy("_PLAIN_LOADERS")
     ):
@@ -235,11 +245,13 @@ def _written_entries(text: str) -> list[ManifestEntry] | None:
     none printable) or a record that `_yaml_record` writes back byte for
     byte, with finite seconds (`inf` writes back; YAML reads a string).
     A name is quoted once, as when rendering; a quoted one never writes
-    back as itself.  Its read-back costs about what `yaml.load` takes for
-    six lines, so more than 16 names plus one per 16 records give None.
+    back as itself.  A read-back costs about what `yaml.load` takes for six
+    lines, so more than 16 names outside `_PLAIN_NAME` plus one per 16
+    records give None.
     """
     entries = []
     scalars: dict[str, str] = {}
+    read_back = 0
     for line in text.split("\n"):
         line = line.removesuffix("\r")
         if not line or (line[0] == "#" and line.isprintable()):
@@ -253,7 +265,8 @@ def _written_entries(text: str) -> list[ManifestEntry] | None:
         except ValueError:
             return None
         if wav not in scalars:
-            if len(scalars) > 16 + len(entries) // 16:
+            read_back += not _PLAIN_NAME.fullmatch(wav)
+            if read_back > 17 + len(entries) // 16:
                 return None
             scalars[wav] = _yaml_scalar(wav)
         written = _yaml_record(scalars[wav], entry.offset, entry.duration, entry.dropped)

@@ -228,13 +228,16 @@ def split_until(
         horizon = s + max_len
         b, best_eff, settled = horizon, 0.0, now >= horizon
         first = bisect_left(starts, s, first)  # s never falls, so neither does the cursor
-        for i in range(first, n + 1):
+        walk = first
+        if not force:  # skip to the window: only force mode credits pauses before it
+            walk = bisect_left(starts, s + min_len, first)
+            while walk > first and starts[walk - 1] - s >= min_len:  # s + min_len rounded up
+                walk -= 1
+        for i in range(walk, n + 1):
             if i < n:
                 a = starts[i]
                 if a >= horizon:
                     break
-                if a - s < min_len and not force:
-                    continue  # only force mode credits pauses before the window
                 eff = effective_duration(pauses[i], horizon)
             elif settled and open_start is not None and s <= open_start < horizon:
                 a, eff = open_start, horizon - open_start  # the run reaches the horizon
@@ -243,7 +246,8 @@ def split_until(
             if force and eff >= juncture:
                 b, settled = a + eff / 2, True
                 break
-            # a < fl(s + max_len) gives a - s <= max_len in floats too
+            # a < fl(s + max_len) gives a - s <= max_len in floats too, and s + min_len
+            # rounded down can start the plain walk on a pause before the window
             if a - s >= min_len and eff > best_eff:
                 b, best_eff = a + eff / 2, eff
         if not settled:

@@ -33,6 +33,8 @@ class StreamingSegmenter(PauseScan):
     """Push-based hybrid (or hybrid-force) segmenter."""
 
     def __init__(self, params: HybridParams, vad_config: VadConfig | None = None):
+        if not isinstance(params, HybridParams):
+            raise TypeError(f"params must be HybridParams, got {type(params).__name__}")
         self.vad_config = vad_config or VadConfig()
         super().__init__(params, self.vad_config.frame_ms, self.vad_config.frame_ms)
         self._vad = EnergyVad(self.vad_config)

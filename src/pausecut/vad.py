@@ -338,7 +338,8 @@ class PauseScan:
     least `min_pause_ms` (default one frame) as a pause; :func:`detect_pauses` is it
     fed one block.  :meth:`push_labels` and `push_frame` emit what the frames so far
     settle with `params`; it holds the open segment's pauses.  :meth:`close` ends
-    the stream, :meth:`flush` ends it with the remainder, and later pushes raise."""
+    the stream, :meth:`flush` ends it with the remainder, and later pushes raise.
+    With no `params` the scan only collects pauses: the emitting methods raise."""
 
     def __init__(self, params: HybridParams | None, frame_ms: int, min_pause_ms: int | None = None):
         min_pause_ms = frame_ms if min_pause_ms is None else min_pause_ms
@@ -367,6 +368,7 @@ class PauseScan:
 
     def push_labels(self, labels: np.ndarray) -> list[Segment]:
         """:meth:`push_runs`, then return the segments the labels settle."""
+        self._need_params()
         held = len(self._pauses)
         self.push_runs(labels)
         return self._settle(held)
@@ -380,8 +382,14 @@ class PauseScan:
 
     def flush(self) -> list[Segment]:
         """:meth:`close`, then emit the rest of the stream; a second flush finds none."""
+        self._need_params()
         end = frame_time(self._frames_pushed, self.frame_ms)
         return self._emit(split_to_end(self.close(), self._segment_start, end, self.params))
+
+    def _need_params(self) -> None:
+        """Refuse to emit from a scan built with no params, before any state changes."""
+        if self.params is None:
+            raise TypeError("PauseScan has no HybridParams to split with: call push_runs and close")
 
     def _settle(self, held: int) -> list[Segment]:
         """Emit what the frames pushed so far settle; `held` pauses were held before the push.

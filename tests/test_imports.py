@@ -1,12 +1,13 @@
 """Each entry point loads only what it runs.
 
 `stats`, `compare` and `--version` do no audio work, so their processes
-must not pay for importing numpy; `--version`, and `stats` and `compare`
-on JSON lines, must not load PyYAML either.  `segment`, with or without
+must not pay for importing numpy; `--version`, `stats` and `compare` on
+JSON lines, and `segment`, `stats` and `compare` on YAML whose wav names
+need no read-back, must not load PyYAML either.  `segment`, with or without
 `--streaming`, must not load the streaming engine, nor stdlib `wave`,
-which only writing a WAV needs.  Every check starts
-a fresh interpreter with `-X importtime`, whose stderr names each module
-the process imports.
+which only writing a WAV needs, nor, with one worker, a thread pool.
+Every check starts a fresh interpreter with `-X importtime`, whose stderr
+names each module the process imports.
 """
 
 import importlib
@@ -61,6 +62,10 @@ def manifests(tmp_path_factory):
     for fmt in ("yaml", "jsonl"):
         paths[fmt] = tmp / f"m.{fmt}"
         paths[fmt].write_text(render_manifest(entries, header, fmt))
+    # a name outside the writer's plain-name rule: reading it takes a read-back
+    paths["read-back"] = tmp / "space.yaml"
+    spaced = [ManifestEntry("my talk.wav", e.offset, e.duration, e.dropped) for e in entries]
+    paths["read-back"].write_text(render_manifest(spaced, header))
     return paths
 
 
@@ -97,8 +102,19 @@ def test_jsonl_reports_load_neither_numpy_nor_yaml(manifests):
 
 
 def test_yaml_report_loads_yaml(manifests):
-    # the probe sees PyYAML where it is used, so the check above is not vacuous
-    assert "yaml" in imported("-m", "pausecut", "stats", str(manifests["yaml"]))
+    # the probe sees PyYAML where it is used, so the checks around it are not vacuous
+    assert "yaml" in imported("-m", "pausecut", "stats", str(manifests["read-back"]))
+
+
+def test_plain_names_load_no_yaml(tmp_path, manifests):
+    # names like t.wav are plain by the writer's rule, on the way out and back in
+    wav, out = tmp_path / "t.wav", tmp_path / "m.yaml"
+    write_wav(wav, clip_from(tone(1.0), silence(0.5), tone(1.0)))
+    assert "yaml" not in imported("-m", "pausecut", "segment", str(wav), "-o", str(out))
+    assert "{wav: t.wav, " in out.read_text()
+    assert "yaml" not in imported("-m", "pausecut", "stats", str(out))
+    assert "yaml" not in imported("-m", "pausecut", "compare", str(out), str(out))
+    assert "yaml" not in imported("-m", "pausecut", "stats", str(manifests["yaml"]))
 
 
 def test_segment_loads_numpy(tmp_path):
@@ -114,6 +130,16 @@ def test_segment_loads_engine_only_for_streaming(tmp_path):
     segment = ("-m", "pausecut", "segment", str(wav), "-o", str(tmp_path / "m.yaml"))
     assert "pausecut.streaming" not in imported_modules(*segment)
     assert "pausecut.streaming" not in imported_modules(*segment, "--streaming")
+
+
+def test_one_worker_loads_no_thread_pool(tmp_path):
+    wav = tmp_path / "t.wav"
+    write_wav(wav, clip_from(tone(1.0), silence(0.5), tone(1.0)))
+    segment = ("-m", "pausecut", "segment", "-o", str(tmp_path / "m.yaml"))
+    assert "concurrent" not in imported(*segment, str(wav))
+    assert "concurrent" not in imported(*segment, "--jobs", "1", str(wav), str(wav))
+    # the probe sees the pool where it is used
+    assert "concurrent" in imported(*segment, "--jobs", "2", str(wav), str(wav))
 
 
 def test_segment_does_not_load_wave(tmp_path):

@@ -1,10 +1,12 @@
 import functools
+import itertools
 import json
 import math
 import os
 import re
 import stat
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -554,6 +556,65 @@ class TestWavQuoting:
         assert all(text == rendered[0] for text in rendered)
 
 
+class TestPlainNameRule:
+    """`_PLAIN_NAME` writes a name plain without a read-back, so it must be
+    as exact as one: every name it takes reads back as itself."""
+
+    ALPHABET = "0123456789aeExyn_.-"
+    # YAML 1.1 spellings of PyYAML's implicit types, and ends a float might take
+    SPELLINGS = ["yes", "Yes", "NO", "on", "y", "n", "null", "Null", "~", ".inf", "-.Inf", ".nan",
+                 "inf", "NaN", "0x1F", "x1F", "0b101", "017", "0o17", "1_0", "1e5", "e5", "1.5e+3",
+                 "E3", "190:20:30", "2001-12-14", "2001-12-14t21:59:43.10-05:00", "<<", "=", "True"]
+
+    @staticmethod
+    def assert_read_back(names):
+        # one flow sequence per loader: the same flow-context plain scalars as a
+        # record's value, thousands of times faster than a document per name
+        assert names
+        for loader in LOADERS:
+            loaded = yaml.load("[" + ", ".join(names) + "]", loader)
+            assert len(loaded) == len(names)
+            bad = [(wav, got) for wav, got in zip(names, loaded) if got != wav]
+            assert not bad, (loader.__name__, bad[:20])
+        for wav in names[:: max(1, len(names) // 500)]:  # and some in the record itself
+            assert all(manifest._reads_back(wav, loader) for loader in LOADERS), wav
+
+    def test_exhaustive_names_read_back(self):
+        names = [
+            name for k in range(1, 6) for chars in itertools.product(self.ALPHABET, repeat=k)
+            if manifest._PLAIN_NAME.fullmatch(name := "".join(chars))
+        ]
+        assert len(names) == 97_614
+        self.assert_read_back(names)
+
+    def test_names_built_from_yaml_spellings_read_back(self):
+        rng = np.random.default_rng(29)
+        built = set()
+        for _ in range(40_000):  # a fixed count, so a rule that takes too few cannot loop
+            parts = rng.choice(self.SPELLINGS, size=int(rng.integers(1, 5)))
+            seps = rng.choice([".", "_", "-"], size=len(parts))
+            built.add("".join(p + sep for p, sep in zip(parts, seps))[:-1])
+        names = sorted(filter(manifest._PLAIN_NAME.fullmatch, built))
+        assert 3000 <= len(names) <= len(built) // 2, (len(names), len(built))  # many, not all
+        self.assert_read_back(names)
+
+    def test_unsafe_names_rejected(self):
+        assert not [n for n in UNSAFE_NAMES if manifest._PLAIN_NAME.fullmatch(n)]
+
+    def test_plain_names_render_without_read_back(self, monkeypatch):
+        # 3,544 distinct names each took a read-back of about 0.25 ms
+        entries = [ManifestEntry(f"utt_{i}.wav", 1.5 * i, 1.5) for i in range(3544)]
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            text = render_manifest(entries)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.05, times
+        monkeypatch.setattr(manifest, "_reads_back", None)  # a read-back would raise
+        assert render_manifest(entries) == text
+        assert parse_manifest(text) == (entries, {})
+
+
 class TestRecordTypes:
     @pytest.mark.parametrize(
         "text",
@@ -775,8 +836,23 @@ class TestWriteBackFastPath:
         assert parse_manifest(render_manifest([entry]))[0] == [entry]
 
     def test_many_names_go_to_yaml_load(self):
-        entries = [ManifestEntry(f"utt_{i}.wav", 0.0, 1.5) for i in range(200)]
+        # names outside _PLAIN_NAME: each would need a read-back
+        entries = [ManifestEntry(f"utt {i}.wav", 0.0, 1.5) for i in range(200)]
         text = render_manifest(entries)
         assert manifest._written_entries(text) is None
         assert parse_manifest(text) == (entries, {})
         assert manifest._written_entries(render_manifest(entries[:16] * 10)) is not None
+
+    def test_many_plain_names_never_reach_yaml_load(self, monkeypatch):
+        # _PLAIN_NAME needs no read-back, so the cap leaves these names out
+        entries = [ManifestEntry(f"utt_{i}.wav", 1.5 * i, 1.5) for i in range(3544)]
+        entries.append(ManifestEntry("my talk.wav", 1.5 * 3544, 1.5))  # one read-back
+        text = render_manifest(entries)
+        load = yaml.load
+
+        def refuse_whole_texts(stream, Loader):
+            assert "\n" not in stream, "a whole manifest went to yaml.load"
+            return load(stream, Loader)  # the one name's read-back
+
+        monkeypatch.setattr(yaml, "load", refuse_whole_texts)
+        assert parse_manifest(text) == (entries, {})

@@ -534,6 +534,30 @@ class TestHybridOracleAndInvariants:
             )
         assert min(seen.values()) >= 200, seen
 
+    def test_window_start_under_rounding(self, rng):
+        """The plain walk starts at a bisect to s + min_len, which rounds: a pause
+        a few ulps either side of it opens the window exactly when a - s >= min_len."""
+        seen = {"in, below s + min_len": 0, "out, at or above s + min_len": 0}
+        for _ in range(4000):
+            min_len = float(rng.uniform(0.5, 30))
+            if rng.random() < 0.5:
+                s = float(np.exp(rng.uniform(-7, 8.5)))
+            else:  # s + min_len halfway between two floats: a ulp below it may round up
+                s = math.ulp(min_len) * (int(rng.integers(0, 64)) + 0.5)
+            params = HybridParams(min_len, min_len + float(rng.uniform(0, 3)))
+            edge = a = s + min_len
+            for _ in range(int(rng.integers(0, 5))):
+                a = math.nextafter(a, -math.inf)
+            for _ in range(int(rng.integers(0, 5))):
+                a = math.nextafter(a, math.inf)
+            pauses = [Pause.at(s / 2, s / 4), Pause.at(a, 0.25)][int(rng.integers(2)):]
+            now = s + params.max_len + 1.0
+            got = spans(split_until(pauses, s, now, params))
+            assert got == ref_split_until(pauses, s, now, params), (s, min_len, a)
+            seen["in, below s + min_len"] += a < edge and a - s >= min_len
+            seen["out, at or above s + min_len"] += a >= edge and a - s < min_len
+        assert min(seen.values()) >= 40, seen
+
     def test_split_until_cursor_matches_two_walk_oracle(self, rng):
         """Calls that settle many segments from one start list, with pauses
         before `start` and a run open at each edge of the first window."""

@@ -161,6 +161,12 @@ class TestValidation:
         engine.push_frame(fs[7])
         assert engine.frames_pushed == 8
 
+    @pytest.mark.parametrize("params", [None, "x", PauseScan], ids=["None", "str", "class"])
+    def test_params_must_be_hybrid(self, params):
+        # refused at construction, not at the first push_frame or save_state
+        with pytest.raises(TypeError, match="^params must be HybridParams, got "):
+            StreamingSegmenter(params, CFG)
+
     @pytest.mark.parametrize("method", ["push_labels", "push_runs"])
     def test_label_blocks_refused(self, method):
         # labels would move the stream 5 frames past a VAD window of 3 energies

@@ -406,6 +406,17 @@ class TestPauseScan:
         assert scan.flush() == [Segment(2.0, 3.2)]
         assert scan.flush() == [] and scan.segment_start == 3.2
 
+    def test_emitting_without_params_refused(self):
+        # a pause-only scan, as detect_pauses and CLI vad and srpol build it, has
+        # nothing to split with; it refuses before the labels move the stream
+        scan = PauseScan(None, 20)
+        scan.push_runs(np.array([True, False, False]))
+        for emit in (lambda: scan.push_labels(np.zeros(5, bool)), scan.flush):
+            with pytest.raises(TypeError, match="^PauseScan has no HybridParams"):
+                emit()
+        assert scan.frames_pushed == 3 and not scan._finished
+        assert [p.frame_span for p in scan.close()] == [(1, 2)]
+
     def test_min_pause_below_one_frame_refused(self):
         with pytest.raises(ValueError, match=r"min_pause_ms \(10\) must be at least one frame \(20 ms\)"):
             PauseScan(HybridParams(), 20, 10)
