@@ -170,22 +170,13 @@ def decode_wav(data: bytes) -> AudioClip:
     encodings (format code, bit depth, channel count) are reported as
     distinct errors.  The samples are a copy: `data` is the caller's.
     """
-    return _read_wav(io.BytesIO(data), len(data))
+    return _drain(io.BytesIO(data), iter_wav_chunks)
 
 
 def read_wav(path) -> AudioClip:
-    """Read a WAV file (see :func:`decode_wav`).
-
-    The samples view the one buffer the data is read into, so reading
-    peaks at the payload size rather than twice it.
-    """
+    """Read a WAV file (see :func:`decode_wav`): :func:`iter_wav_chunks`' blocks, in one array."""
     with open(path, "rb") as fh:
-        return _read_wav(fh, os.fstat(fh.fileno()).st_size)
-
-
-def _read_wav(fh, total: int) -> AudioClip:
-    sample_rate, size, start = _wav_header(fh)
-    return _read_all(fh, sample_rate, size, False, total - start)
+        return _drain(fh, iter_wav_chunks)
 
 
 def iter_wav_chunks(fh) -> tuple[int, Iterator[np.ndarray]]:
@@ -197,7 +188,7 @@ def iter_wav_chunks(fh) -> tuple[int, Iterator[np.ndarray]]:
     error that shows only at the end of the data (a truncated data chunk) is
     raised by the iterator, after the blocks before it.
     """
-    sample_rate, size, _ = _wav_header(fh)
+    sample_rate, size = _wav_header(fh)
     return sample_rate, _blocks(fh, sample_rate, size, False)
 
 
@@ -208,35 +199,30 @@ def iter_pcm16_chunks(fh, sample_rate: int) -> tuple[int, Iterator[np.ndarray]]:
     return sample_rate, _blocks(fh, sample_rate, None, True)
 
 
-def _read_all(fh, sample_rate: int, size: int | None, strict: bool, rest: int) -> AudioClip:
-    """What :func:`_blocks` reads of `fh`, as one clip.  `rest` is the byte count
-    left in `fh` as far as it is known (none for a pipe): up to that the samples
-    view the one buffer they are read into, made a byte or two longer so that the
-    end shows at once; a longer stream is read in blocks and joined."""
-    if size is not None:
-        rest = min(rest, size)
-    parts = list(_blocks(fh, sample_rate, size, strict, (rest + 2) & ~1 if rest > 0 else BLOCK_BYTES))
-    samples = parts[0] if len(parts) == 1 else np.concatenate([np.empty(0, "<i2"), *parts])
+def _drain(fh, chunks, *rate) -> AudioClip:
+    """The blocks of `chunks(fh, *rate)` copied into one int16 array, sized to what `fh`
+    has left past the header (a pipe: nothing known) and grown only when the stream outruns it."""
+    sample_rate, blocks = chunks(fh, *rate)
+    here = fh.tell() if fh.seekable() else None
+    samples = np.empty(0 if here is None else (fh.seek(0, os.SEEK_END) - fh.seek(here)) // 2, np.int16)
+    n = 0
+    for block in blocks:
+        if n + len(block) > len(samples):  # refcheck: `samples` has no view while it moves
+            samples.resize(2 * (n + len(block)), refcheck=False)
+        samples[n : n + len(block)] = block
+        n += len(block)
+    samples.resize(n, refcheck=False)  # less where a chunk follows the data, or a stream grew
     return AudioClip(samples, sample_rate)
 
 
-def _blocks(fh, sample_rate: int, size: int | None, strict: bool,
-            length: int | None = None) -> Iterator[np.ndarray]:
-    """`size` bytes of `fh` (None: to its end) as int16 blocks, read into one buffer
-    of about BLOCK_BYTES in whole 60 ms that the blocks share or, given `length`,
-    each into a new buffer of `length` bytes that is the caller's to keep.
-
-    Fewer than `size` bytes is a truncated data chunk.  A last odd byte is an
-    error if `strict` (raw PCM), else dropped (a WAV's stray pad byte).
-    """
-    if length is None:
-        unit = 2 * (sample_rate * 60 // 1000 if sample_rate * 60 % 1000 == 0 else 1)
-        buf = np.empty(max(BLOCK_BYTES // unit, 1) * unit, dtype=np.uint8)
-    left = math.inf if size is None else size
+def _blocks(fh, sample_rate: int, size: int | None, strict: bool) -> Iterator[np.ndarray]:
+    """`size` bytes of `fh` (None: to its end) as int16 blocks sharing one buffer of about
+    BLOCK_BYTES in whole 60 ms.  Fewer than `size` bytes is a truncated data chunk; a last
+    odd byte is an error if `strict` (raw PCM), else dropped (a WAV's stray pad byte)."""
+    unit = 2 * (sample_rate * 60 // 1000 if sample_rate * 60 % 1000 == 0 else 1)
+    buf = np.empty(max(BLOCK_BYTES // unit, 1) * unit, dtype=np.uint8)
+    view, left = memoryview(buf), math.inf if size is None else size
     while True:
-        if length is not None:
-            buf = np.empty(length, dtype=np.uint8)
-        view = memoryview(buf)
         want = min(len(buf), left)
         n = 0
         while n < want and (got := fh.readinto(view[n:want])):
@@ -252,10 +238,9 @@ def _blocks(fh, sample_rate: int, size: int | None, strict: bool,
             return
 
 
-def _wav_header(fh) -> tuple[int, int | None, int]:
+def _wav_header(fh) -> tuple[int, int | None]:
     """Walk the chunks of a RIFF/WAVE stream up to its first data byte: its sample
-    rate, its data size in bytes (None: the data runs to the end of the stream)
-    and the offset of that byte."""
+    rate and its data size in bytes (None: the data runs to the end of the stream)."""
     head = fh.read(12)
     if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise MalformedWavError("malformed header: not a RIFF/WAVE stream")
@@ -298,9 +283,8 @@ def _wav_header(fh) -> tuple[int, int | None, int]:
     sample_rate = block_rate(sample_rate, UnsupportedWavError)
     # An unfinalised data size runs to the end; a size of 0 is one only where the
     # RIFF size is unfinalised too or ends here, as a chunk after empty data is no sample.
-    if size == 0xFFFFFFFF or size == 0 and (riff_size in _UNFINALISED or riff_size + 8 <= offset):
-        return sample_rate, None, offset
-    return sample_rate, size, offset
+    unfinalised = size == 0xFFFFFFFF or size == 0 and (riff_size in _UNFINALISED or riff_size + 8 <= offset)
+    return sample_rate, None if unfinalised else size
 
 
 def block_rate(rate, error: type[ValueError] = ValueError) -> int:
@@ -314,7 +298,7 @@ def block_rate(rate, error: type[ValueError] = ValueError) -> int:
 
 def decode_pcm16(data: bytes, sample_rate: int) -> AudioClip:
     """Decode headerless little-endian PCM16 mono (a copy of `data`)."""
-    return _read_all(io.BytesIO(data), sample_rate, None, True, len(data))
+    return _drain(io.BytesIO(data), iter_pcm16_chunks, sample_rate)
 
 
 def encode_wav(clip: AudioClip) -> bytes:
@@ -325,9 +309,9 @@ def encode_wav(clip: AudioClip) -> bytes:
 
 
 def read_pcm16(path, sample_rate: int) -> AudioClip:
-    """Read a headerless PCM16 mono file (see :func:`decode_pcm16`) without a second copy."""
+    """Read a headerless PCM16 mono file (see :func:`decode_pcm16`) as :func:`read_wav` does."""
     with open(path, "rb") as fh:
-        return _read_all(fh, sample_rate, None, True, os.fstat(fh.fileno()).st_size)
+        return _drain(fh, iter_pcm16_chunks, sample_rate)
 
 
 def write_wav(path, clip: AudioClip) -> None:

@@ -198,6 +198,8 @@ def _segmenter(cfg: dict) -> Callable[[int], tuple[Callable[[np.ndarray], None],
     if strategy == "fixed":
         if not 0 < length < math.inf:
             raise CliError(f"--length must be positive and finite, got {length}")
+        if not round(length, 6):  # every cut but the last would write as 0 s, once all were made
+            raise CliError(f"--length must not round to 0.000000 s, got {length}")
         return lambda rate: (lambda block: None, lambda duration: segment_fixed(duration, length))
     vad_cfg = VadConfig(cfg["aggressiveness"], cfg["frame_ms"])
     if cfg["raw_rate"] is not None:
@@ -212,6 +214,8 @@ def _segmenter(cfg: dict) -> Callable[[int], tuple[Callable[[np.ndarray], None],
             cfg["min_len"], cfg["max_len"], strategy == "hybrid-force", cfg["juncture_ms"])
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    if hybrid is not None and not round(hybrid.max_len, 6):  # as --length; srpol cuts only at pauses
+        raise CliError(f"--max-len must not round to 0.000000 s, got {hybrid.max_len}")
 
     def settle(scan: PauseScan) -> list[Segment]:
         """`vad` and `srpol`: the segments of every pause, once the labels end."""

@@ -136,6 +136,7 @@ def segment_vad_merge(track: FrameLabelTrack) -> list[Segment]:
 def segment_between(pauses: list[Pause], end: float) -> list[Segment]:
     """Tile [0, end) with `pauses` dropped and the time between them kept:
     :func:`segment_vad_merge` when the pauses are every non-speech run."""
+    _check_span(0.0, end)
     _check_inside(pauses, 0.0, end)
     cuts = [0.0, *(t for p in pauses for t in (p.start, p.end)), end]
     return [Segment(a, b, kept=i % 2 == 0) for i, (a, b) in enumerate(zip(cuts, cuts[1:])) if a < b]
@@ -152,6 +153,7 @@ def segment_srpol(span: Segment, pauses: list[Pause], params: SrpolParams) -> li
     earlier equal pause has cut already, and a piece under max_len never grows.
     So the walk ends once no piece is max_len long, whatever pauses remain.
     """
+    _check_span(span.start, span.end)
     _check_inside(pauses, span.start, span.end)
     max_len, cuts = params.max_len, [span.start, span.end]
     long = int(span.duration >= max_len)  # pieces of at least max_len: only they take a cut
@@ -185,6 +187,11 @@ def _hybrid_scan(
         raise ValueError(f"params.force_split must be {force} for {name}")
     _check_inside(pauses, -math.inf, math.inf)
     return split_to_end(pauses, 0.0, total_duration, params)
+
+
+def _check_span(start: float, end: float) -> None:  # the one span check of every strategy
+    if not 0 <= start <= end < math.inf:  # nan too: a walk to inf never ends
+        raise ValueError(f"need 0 <= start <= end < inf, got [{start}, {end})")
 
 
 def _check_inside(pauses: list[Pause], start: float, end: float) -> None:
@@ -259,11 +266,8 @@ def split_until(
 def split_to_end(
     pauses: list[Pause], start: float, end: float, params: HybridParams
 ) -> list[Segment]:
-    """Tile [start, end) with the settled splits plus the remainder segment.
-
-    The one check of the span for fixed, both hybrids and `PauseScan.flush`."""
-    if not 0 <= start <= end < math.inf:  # nan too: a walk to inf never ends
-        raise ValueError(f"need 0 <= start <= end < inf, got [{start}, {end})")
+    """Tile [start, end) with the settled splits plus the remainder segment."""
+    _check_span(start, end)
     out = split_until(pauses, start, end, params)
     s = out[-1].end if out else start
     if end > s:

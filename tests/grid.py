@@ -220,6 +220,12 @@ def cells() -> list[Cell]:
         Cell("length-nan", ("segment", "--strategy", "fixed", "--length", "nan", "{tmp}/talk.wav")),
         Cell("max-len-inf", ("segment", "--max-len", "inf", "{tmp}/talk.wav")),
         Cell("min-len-past-max", ("segment", "--min-len", "30", "{tmp}/talk.wav")),
+        # lengths six decimals write as 0 s, on the empty clip so that a walk that
+        # ran anyway would end at once
+        Cell("length-rounds-to-zero", ("segment", "--strategy", "fixed", "--length", "1e-300",
+                                       "{tmp}/empty.wav")),
+        Cell("max-len-rounds-to-zero", ("segment", "--min-len", "1e-300", "--max-len", "1e-300",
+                                        "{tmp}/empty.wav")),
     ]
     # stats and compare on JSON lines, pausecut YAML and MuST-C YAML
     for name in ("ref.jsonl", "hyp.yaml", "mustc.yaml", "talk-vad-20-yaml.yaml", "talk-srpol-30-jsonl.jsonl",

@@ -59,6 +59,30 @@ def read_blocks(data: bytes) -> tuple[int, np.ndarray]:
     return rate, np.concatenate([np.zeros(0, np.int16), *(block.copy() for block in blocks)])
 
 
+def raw_blocks(data: bytes, rate: int) -> tuple[int, np.ndarray]:
+    """The rate and the concatenated blocks of `iter_pcm16_chunks` over `data`."""
+    rate, blocks = iter_pcm16_chunks(io.BytesIO(data), rate)
+    return rate, np.concatenate([np.zeros(0, np.int16), *(block.copy() for block in blocks)])
+
+
+def same_outcome(read, expected) -> None:
+    """`read()` gives what `expected()` gives: the same rate and samples, or the same
+    error type and message."""
+    try:
+        want_rate, want = expected()
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            read()
+        assert str(got.value) == str(exc)
+    else:
+        clip = read()
+        assert clip.sample_rate == want_rate and clip.samples.dtype == np.int16
+        assert np.array_equal(clip.samples, want)
+
+
+# Samples in one 16 kHz read block, and a payload of several blocks and a part.
+ONE_BLOCK = audio.BLOCK_BYTES // 1920 * 960
+BLOCKS = np.arange(5 * ONE_BLOCK // 2 + 7, dtype=np.int64).astype(np.int16)
 # A data chunk with no fmt chunk before it, and a fmt chunk 2 bytes short of PCM's 16.
 NO_FMT = struct.pack("<4sI4s4sI", b"RIFF", 16, b"WAVE", b"data", 4) + b"\x01\x00\x02\x00"
 SHORT_FMT = wav_bytes(np.zeros(2, dtype=np.int16))
@@ -202,31 +226,56 @@ class TestReadFile:
             b"",
             NO_FMT,
             SHORT_FMT,
+            b"R",
+            wav_bytes(np.array([3, -3, 7], dtype=np.int16)) + b"\x01",
+            wav_bytes(BLOCKS[:ONE_BLOCK]),
+            wav_bytes(BLOCKS),
+            with_data_size(wav_bytes(BLOCKS), 0xFFFFFFFF) + b"\x01",
+            extensible_wav(BLOCKS[:1000], rate=48000),
+            wav_bytes(BLOCKS)[:-3],
+            wav_bytes(BLOCKS[:5]) + struct.pack("<4sI", b"LIST", 4) + b"abcd",
         ],
         ids=[
             "ok", "odd-data-chunk", "stereo", "8-bit", "truncated", "no-data", "not-riff",
-            "empty", "no-fmt", "short-fmt",
+            "empty", "no-fmt", "short-fmt", "one-byte", "odd-length", "one-block", "blocks",
+            "unfinalised", "extensible", "truncated-blocks", "chunk-after-data",
         ],
     )
     def test_read_wav_decodes_like_decode_wav(self, tmp_path, data):
+        # both whole readers give what the block reader gives, errors in its header or at the end
         path = tmp_path / "x.wav"
         path.write_bytes(data)
+        same_outcome(lambda: decode_wav(data), lambda: read_blocks(data))
+        same_outcome(lambda: read_wav(path), lambda: read_blocks(data))
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"", b"\x01", b"\x01\x02\x03", BLOCKS[:ONE_BLOCK].tobytes(), BLOCKS.tobytes(), BLOCKS.tobytes() + b"\x04"],
+        ids=["empty", "one-byte", "odd-length", "one-block", "blocks", "blocks-odd"],
+    )
+    @pytest.mark.parametrize("rate", [16000, 8000, 0], ids=["16k", "8k", "zero"])
+    def test_raw_readers_decode_like_the_blocks(self, tmp_path, data, rate):
+        path = tmp_path / "x.pcm"
+        path.write_bytes(data)
+        same_outcome(lambda: decode_pcm16(data, rate), lambda: raw_blocks(data, rate))
+        same_outcome(lambda: read_pcm16(path, rate), lambda: raw_blocks(data, rate))
+
+    @pytest.mark.parametrize("kind", ["raw", "wav"])
+    def test_pipe_longer_than_two_blocks(self, tmp_path, kind):
+        # a pipe tells no size, so the array grows, here more than once (5 MiB of samples)
+        samples = np.arange(5 * 2**20 // 2 + 3, dtype=np.int64).astype(np.int16)
+        data = (samples.tobytes() if kind == "raw"
+                else with_data_size(wav_bytes(samples), 0xFFFFFFFF))
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(data,))
+        writer.start()
         try:
-            expected = decode_wav(data)
-        except ValueError as exc:
-            with pytest.raises(type(exc)) as got:
-                read_wav(path)
-            assert str(got.value) == str(exc)
-            with pytest.raises(type(exc)) as got:  # the block reader, in its header or at the end
-                read_blocks(data)
-            assert str(got.value) == str(exc)
-        else:
-            clip = read_wav(path)
-            assert clip.sample_rate == expected.sample_rate
-            assert np.array_equal(clip.samples, expected.samples)
-            rate, samples = read_blocks(data)
-            assert rate == expected.sample_rate
-            assert np.array_equal(samples, expected.samples)
+            clip = read_pcm16(path, 16000) if kind == "raw" else read_wav(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert clip.sample_rate == 16000 and np.array_equal(clip.samples, samples)
 
     def test_read_pcm16_from_pipe(self, tmp_path):
         # a pipe reports no size up front
@@ -317,8 +366,14 @@ class TestCaptureToolHeaders:
         for read in (decode_wav, read_blocks, lambda _: read_wav(tmp_path / "zero.wav")):
             with pytest.raises(UnsupportedWavError, match="^sample_rate must be a positive integer, got 0$"):
                 read(zero)
-        with pytest.raises(ValueError, match=r"^unsupported sample rate 9000000 Hz"):
-            iter_pcm16_chunks(io.BytesIO(b""), 9_000_000)
+        raw = rf"^unsupported sample rate 9000000 Hz \(at most {audio.MAX_RATE} Hz\)$"
+        (tmp_path / "x.pcm").write_bytes(b"\x00\x00")
+        for read in (lambda: iter_pcm16_chunks(io.BytesIO(b""), 9_000_000),
+                     lambda: decode_pcm16(b"\x00\x00", 9_000_000),
+                     lambda: read_pcm16(tmp_path / "x.pcm", 9_000_000)):
+            with pytest.raises(ValueError, match=raw):
+                read()
+        assert decode_pcm16(b"\x00\x00", audio.MAX_RATE).sample_rate == audio.MAX_RATE
 
 
 class TestBlockReader:

@@ -703,11 +703,31 @@ class TestStats:
         assert json.loads(capsys.readouterr().out)["pct_filtered"] == 0.0
 
     def test_inner_segment_written_as_zero_seconds_names_the_input(self, tmp_path, capsys):
+        # a length six decimals write as 0 s is the flag's fault, refused before the walk
         wav, out = tmp_path / "a.wav", tmp_path / "m.yaml"
         write_wav(wav, clip_from(tone(0.001)))
         assert run(["segment", "--strategy", "fixed", "--length", "4e-7", "-o", out, wav]) == 1
-        assert capsys.readouterr().err.startswith(f"pausecut: error: {wav}: segment [0.0, 4e-07)")
+        assert capsys.readouterr().err == "pausecut: error: --length must not round to 0.000000 s, got 4e-07\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [["fixed", "--length", "1e-300"], ["hybrid", "--min-len", "1e-300", "--max-len", "1e-300"],
+         ["hybrid-force", "--min-len", "5e-7", "--max-len", "5e-7"]],
+        ids=["fixed", "hybrid", "hybrid-force"],
+    )
+    def test_length_written_as_zero_seconds_refused_before_any_input(self, tmp_path, capsys, strategy):
+        # every segment would be built before the writer refused the first (unbounded
+        # for 1e-300), so the flag is refused first: the missing input is never opened
+        flag, value = strategy[-2:]
+        assert run(["segment", "--strategy", *strategy, str(tmp_path / "missing.wav")]) == 1
+        assert capsys.readouterr().err == f"pausecut: error: {flag} must not round to 0.000000 s, got {float(value)}\n"
+
+    def test_srpol_max_len_written_as_zero_seconds_cuts_at_pauses(self, tmp_path, capsys):
+        wav = tmp_path / "a.wav"
+        write_wav(wav, clip_from(np.concatenate([tone(0.5), silence(0.3), tone(0.5)])))
+        assert run(["segment", "--strategy", "srpol", "--max-len", "1e-300", "-o", "-", wav]) == 0
+        assert capsys.readouterr().out.count("{wav: a.wav") == 2
 
     def test_microsecond_entries_refused_or_read_back(self, tmp_path, capsys):
         # six decimals can end an entry at or before the previous entry's end
@@ -719,8 +739,9 @@ class TestStats:
             path = ten_ms if length == 1.5e-6 else wav
             code = run(["segment", "--strategy", "fixed", "--length", repr(length), "-o", out, path])
             err = capsys.readouterr().err
-            if code:
-                assert err.startswith(f"pausecut: error: {path}: "), length
+            if code:  # the input's manifest, or a length that six decimals write as 0 s
+                prefix = "--length must not round" if round(length, 6) == 0 else f"{path}: "
+                assert err.startswith(f"pausecut: error: {prefix}"), length
                 assert not out.exists()
                 refused += 1
             else:

@@ -153,7 +153,7 @@ class TestVadMerge:
 
 
 class TestSpanCheck:
-    """fixed and both hybrid scans share one check: 0 <= total < inf."""
+    """Every strategy shares one check: 0 <= total < inf."""
 
     @pytest.mark.parametrize("total", [math.inf, math.nan, -1.0], ids=["inf", "nan", "negative"])
     @pytest.mark.parametrize(
@@ -163,12 +163,18 @@ class TestSpanCheck:
             lambda total: segment_hybrid([], total, PLAIN),
             lambda total: segment_hybrid_force([], total, FORCE),
             lambda total: segment_hybrid_force([Pause.at(1.0, 0.6)], total, FORCE),
+            lambda total: segment_between([], total),
         ],
-        ids=["fixed", "hybrid", "hybrid-force", "hybrid-force-paused"],
+        ids=["fixed", "hybrid", "hybrid-force", "hybrid-force-paused", "vad"],
     )
     def test_refused(self, scan, total):
         with pytest.raises(ValueError, match=r"need 0 <= start <= end < inf"):
             scan(total)
+
+    def test_srpol_refuses_an_infinite_span(self):
+        # a Segment refuses a nan or negative end itself
+        with pytest.raises(ValueError, match=r"^need 0 <= start <= end < inf, got \[0.0, inf\)$"):
+            segment_srpol(Segment(0.0, math.inf), [], SrpolParams(20.0))
 
     def test_largest_finite_total_accepted(self):
         assert spans(segment_fixed(1e308, 1e308)) == [(0.0, 1e308)]
