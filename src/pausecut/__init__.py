@@ -29,7 +29,8 @@ _EXPORTS = {
         "segment_hybrid_force", "segment_srpol", "segment_vad_merge",
     ),
     "streaming": ("StreamingSegmenter",),
-    "vad": ("EnergyVad", "FrameLabelTrack", "Pause", "VadConfig", "classify", "detect_pauses"),
+    "vad": ("BlockSegmenter", "EnergyVad", "FrameLabelTrack", "Pause", "VadConfig", "classify",
+            "detect_pauses"),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -29,13 +29,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
-
-    import numpy as np
-
     from .segmenters import Segment
-
-    Finish = Callable[[float], list[Segment]]
 
 # What each strategy reads, and so what its manifest header echoes besides
 # `strategy` and `total_duration`.  Only those reading `streaming` take it.
@@ -178,70 +172,11 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- segment -----------------------------------------------------------------
 
 
-def _segmenter(cfg: dict) -> Callable[[int], tuple[Callable[[np.ndarray], None], Finish]]:
-    """The chosen strategy, its parameters built and checked now, as a function of
-    a clip's sample rate that gives `push`, which takes each block of the clip's
-    samples in turn, and `finish`, which takes its duration and returns its segments.
-
-    Called on the main thread before any input is opened, so a bad value
-    names no audio file, and numpy is first imported here rather than in
-    several workers at once.  No strategy keeps the samples or labels: `fixed`
-    needs their count; the others feed label chunks to a `PauseScan` and read
-    its pauses at the end (`vad`, `srpol`) or split as they go (the hybrids).
-    """
-    from .audio import frame_time, samples_per_frame
-    from .segmenters import HybridParams, Segment, SrpolParams, segment_between, segment_fixed
-    from .segmenters import segment_srpol
-    from .vad import BlockLabeller, PauseScan, VadConfig
-
-    strategy, length = cfg["strategy"], cfg["length"]
-    if strategy == "fixed":
-        if not 0 < length < math.inf:
-            raise CliError(f"--length must be positive and finite, got {length}")
-        if not round(length, 6):  # every cut but the last would write as 0 s, once all were made
-            raise CliError(f"--length must not round to 0.000000 s, got {length}")
-        return lambda rate: (lambda block: None, lambda duration: segment_fixed(duration, length))
-    vad_cfg = VadConfig(cfg["aggressiveness"], cfg["frame_ms"])
-    if cfg["raw_rate"] is not None:
-        try:
-            samples_per_frame(cfg["raw_rate"], vad_cfg.frame_ms)
-        except ValueError as exc:
-            raise CliError(f"--raw-rate must be usable with --frame-ms: {exc}") from exc
-    min_pause = cfg["min_pause_ms"] if "min_pause_ms" in READS[strategy] else None
-    try:
-        srpol = SrpolParams(cfg["max_len"]) if strategy == "srpol" else None
-        hybrid = None if strategy in ("vad", "srpol") else HybridParams(
-            cfg["min_len"], cfg["max_len"], strategy == "hybrid-force", cfg["juncture_ms"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if hybrid is not None and not round(hybrid.max_len, 6):  # as --length; srpol cuts only at pauses
-        raise CliError(f"--max-len must not round to 0.000000 s, got {hybrid.max_len}")
-
-    def settle(scan: PauseScan) -> list[Segment]:
-        """`vad` and `srpol`: the segments of every pause, once the labels end."""
-        pauses, span = scan.close(), frame_time(scan.frames_pushed, vad_cfg.frame_ms)
-        if srpol is None:
-            return segment_between(pauses, span)
-        return segment_srpol(Segment(0.0, span), pauses, srpol) if span else []
-
-    def scanned(rate: int):
-        scan, out = PauseScan(hybrid, vad_cfg.frame_ms, min_pause), []
-        sink, end = ((scan.push_runs, settle) if hybrid is None
-                     else (lambda chunk: out.extend(scan.push_labels(chunk)), PauseScan.flush))
-        labeller = BlockLabeller(vad_cfg, rate, sink)
-
-        def finish(duration: float) -> list[Segment]:
-            labeller.finish()
-            return out + end(scan)
-
-        return labeller.push, finish
-
-    return scanned
-
-
 def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
-    from .audio import block_rate, iter_pcm16_chunks, iter_wav_chunks
-    from .manifest import render_manifest, segments_to_entries, write_manifest
+    from .audio import block_rate, iter_pcm16_chunks, iter_wav_chunks, samples_per_frame
+    from .manifest import SEAM_TOLERANCE, render_manifest, segments_to_entries, write_manifest
+    from .segmenters import HybridParams, SrpolParams, segment_fixed
+    from .vad import BlockSegmenter, VadConfig
 
     strategy, frame_ms, raw_rate = cfg["strategy"], cfg["frame_ms"], cfg["raw_rate"]
     emit_dropped = cfg["emit_dropped"]
@@ -271,7 +206,30 @@ def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
             f"--streaming cannot honour --min-pause-ms {min_pause} above "
             f"--frame-ms {frame_ms}: a pause's length is unknown at the horizon"
         )
-    segment = _segmenter(cfg)
+    # The strategy's parameters, built and checked once before any input is opened, so
+    # a bad value names no audio file: `fixed` needs only each input's sample count,
+    # every other strategy a BlockSegmenter per input (`vad` keeps every run).
+    fixed, hybrid, length = strategy == "fixed", strategy.startswith("hybrid"), cfg["length"]
+    if fixed and not 0 < length < math.inf:
+        raise CliError(f"--length must be positive and finite, got {length}")
+    if not fixed and raw_rate is not None:
+        try:
+            samples_per_frame(raw_rate, frame_ms)
+        except ValueError as exc:
+            raise CliError(f"--raw-rate must be usable with --frame-ms: {exc}") from exc
+    try:
+        params = SrpolParams(cfg["max_len"]) if strategy == "srpol" else None
+        if hybrid:
+            force = strategy == "hybrid-force"
+            params = HybridParams(cfg["min_len"], cfg["max_len"], force, cfg["juncture_ms"])
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    # six decimals can end a shorter segment at or before the one before it; srpol cuts at pauses only
+    bound = "length" if fixed else "max_len" if hybrid else None
+    if bound and cfg[bound] < SEAM_TOLERANCE:
+        raise CliError(f"{_flag(bound)} must be at least {SEAM_TOLERANCE} s, got {cfg[bound]}")
+    vad_cfg = VadConfig(cfg["aggressiveness"], frame_ms)
+    scan_pause = min_pause if "min_pause_ms" in reads else None
 
     def process(path: str) -> tuple[float, list]:
         """Decode `path` block by block into the strategy; a header's faults are
@@ -281,12 +239,13 @@ def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
                 rate, blocks = (iter_wav_chunks(fh) if raw_rate is None
                                 else iter_pcm16_chunks(fh, raw_rate))
                 try:
-                    push, finish = segment(rate)
+                    segmenter = None if fixed else BlockSegmenter(params, vad_cfg, rate, scan_pause)
                 except ValueError as exc:  # the rate does not frame
                     raise CliError(f"{path}: {exc}") from exc
                 n_samples = 0
                 for block in blocks:
-                    push(block)
+                    if segmenter is not None:
+                        segmenter.push(block)
                     n_samples += len(block)
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc}") from exc
@@ -294,7 +253,8 @@ def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
             raise CliError(f"cannot decode {path}: {exc}") from exc
         duration, name = n_samples / rate, os.path.basename(path)
         try:  # a strategy's fault, or a segment no manifest can hold
-            return duration, segments_to_entries(finish(duration), name, duration, emit_dropped)
+            segments = segment_fixed(duration, length) if fixed else segmenter.finish()
+            return duration, segments_to_entries(segments, name, duration, emit_dropped)
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from exc
 

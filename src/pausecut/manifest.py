@@ -74,20 +74,25 @@ def segments_to_entries(
     """Convert segmenter output to manifest entries.
 
     Segmenters on the padded frame timeline can overrun the clip end by part
-    of a frame; `clip_duration` clamps the tail.  An entry six decimals make
-    0 s long is dropped if last (it ends inside SEAM_TOLERANCE of the total),
-    else refused, as is one whose six-decimal values the reader's walk refuses.
+    of a frame; `clip_duration` clamps the tail.  The entry that ends the
+    timeline, inside SEAM_TOLERANCE of the total, is dropped if six decimals
+    make it 0 s long or end it no later than the entry before.  Anywhere else
+    a 0 s entry is refused, as is one whose six-decimal values the reader's
+    walk refuses.
     """
-    entries = []
+    entries, reach = [], 0.0  # the six-decimal end of the last entry, as the walk sums it
     for i, seg in enumerate(segments, 1 - len(segments)):  # 0 at the last
         start, end = seg.start, seg.end
         if clip_duration is not None:
             end = min(end, clip_duration)
         if end <= start or not (seg.kept or emit_dropped):
             continue
-        if round(end - start, 6):
+        offset, duration = round(start, 6), round(end - start, 6)
+        last = not i or end == clip_duration
+        if duration and (offset + duration > reach or not last):
             entries.append(ManifestEntry(wav_name, start, end - start, dropped=not seg.kept))
-        elif i:
+            reach = offset + duration
+        elif not last:
             raise ValueError(f"segment [{start}, {end}) rounds to a 0 s manifest entry")
     for _ in _tile((round(e.offset, 6), round(e.duration, 6), True, wav_name) for e in entries):
         pass  # the reader's own walk, on the six-decimal values

@@ -99,7 +99,8 @@ class StreamingSegmenter(PauseScan):
             n, start, run = state["frames_pushed"], state["segment_start"], state["run_start"]
             spans = [*state["pauses"], *([] if run is None else [[run, run]])]  # the run comes last
             if not (type(n) is int and len(state["vad_window"]) == min(n, FLOOR_WINDOW)
-                    and type(start) is float and 0 <= start <= frame_time(n, fm)
+                    and type(start) is float  # and short of the horizon, where every push splits
+                    and 0 <= start <= frame_time(n, fm) < start + engine.params.max_len
                     and type(state["finished"]) is bool and (run is None or not state["finished"])
                     and all(type(a) is type(b) is int and last + 1 < a <= b < n  # speech between
                             for last, (a, b) in zip([-2] + [b for _, b in spans], spans))):
@@ -108,6 +109,6 @@ class StreamingSegmenter(PauseScan):
             engine._frames_pushed, engine._segment_start, engine._run_start = n, start, run
             engine._finished = state["finished"]
             engine._pauses = [Pause.from_frames(a, b, fm) for a, b in state["pauses"]]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"not a version {_STATE_VERSION} checkpoint: {exc}") from exc
         return engine

@@ -49,7 +49,8 @@ from functools import reduce
 import numpy as np
 
 from .audio import SUPPORTED_FRAME_MS, AudioClip, as_int16, frame_time, samples_per_frame
-from .segmenters import HybridParams, Segment, split_to_end, split_until
+from .segmenters import HybridParams, Segment, SrpolParams, segment_between, segment_srpol
+from .segmenters import split_to_end, split_until
 
 MULTIPLIERS = (2.0, 3.5, 5.0, 8.0)
 HANGOVER_FRAMES = (8, 6, 4, 2)
@@ -331,17 +332,19 @@ class BlockLabeller:
 
 
 class PauseScan:
-    """The one walk from frame labels to pauses, and the one hybrid scan over them.
+    """The one walk from frame labels to pauses, and the one end of every pause strategy.
 
     :meth:`_toggle` alone opens and closes non-speech runs, at each label change in
     a :meth:`push_runs` block or a streaming `push_frame`, and keeps each run of at
     least `min_pause_ms` (default one frame) as a pause; :func:`detect_pauses` is it
-    fed one block.  :meth:`push_labels` and `push_frame` emit what the frames so far
-    settle with `params`; it holds the open segment's pauses.  :meth:`close` ends
-    the stream, :meth:`flush` ends it with the remainder, and later pushes raise.
-    With no `params` the scan only collects pauses: the emitting methods raise."""
+    fed one block.  With :class:`HybridParams`, :meth:`push_labels` and `push_frame`
+    emit what the frames so far settle, and the scan holds the open segment's
+    pauses; `srpol` (:class:`SrpolParams`) and `vad` (no params) need every pause,
+    so they emit only at the end.  :meth:`close` ends the stream, :meth:`flush` ends
+    it with the strategy's segments, and later pushes raise."""
 
-    def __init__(self, params: HybridParams | None, frame_ms: int, min_pause_ms: int | None = None):
+    def __init__(self, params: HybridParams | SrpolParams | None, frame_ms: int,
+                 min_pause_ms: int | None = None):
         min_pause_ms = frame_ms if min_pause_ms is None else min_pause_ms
         if not min_pause_ms >= frame_ms:  # nan too
             raise ValueError(f"min_pause_ms ({min_pause_ms}) must be at least one frame ({frame_ms} ms)")
@@ -367,11 +370,10 @@ class PauseScan:
             self._toggle(first + a)
 
     def push_labels(self, labels: np.ndarray) -> list[Segment]:
-        """:meth:`push_runs`, then return the segments the labels settle."""
-        self._need_params()
+        """:meth:`push_runs`, then return the segments the labels settle (hybrids only)."""
         held = len(self._pauses)
         self.push_runs(labels)
-        return self._settle(held)
+        return self._settle(held) if isinstance(self.params, HybridParams) else []
 
     def close(self) -> list[Pause]:
         """End the stream and its open run, if any; return the pauses not yet emitted."""
@@ -381,15 +383,17 @@ class PauseScan:
         return self._pauses
 
     def flush(self) -> list[Segment]:
-        """:meth:`close`, then emit the rest of the stream; a second flush finds none."""
-        self._need_params()
+        """:meth:`close`, then emit the rest of the stream: the hybrid remainder, srpol's
+        bisection or the vad tiling of [0, end); a second flush finds none."""
+        pauses, s, p = self.close(), self._segment_start, self.params
         end = frame_time(self._frames_pushed, self.frame_ms)
-        return self._emit(split_to_end(self.close(), self._segment_start, end, self.params))
-
-    def _need_params(self) -> None:
-        """Refuse to emit from a scan built with no params, before any state changes."""
-        if self.params is None:
-            raise TypeError("PauseScan has no HybridParams to split with: call push_runs and close")
+        if s == end:  # flushed before, or every frame emitted
+            return []
+        if isinstance(p, HybridParams):
+            return self._emit(split_to_end(pauses, s, end, p))
+        if p is None:  # vad
+            return self._emit(segment_between(pauses, end))
+        return self._emit(segment_srpol(Segment(s, end), pauses, p))
 
     def _settle(self, held: int) -> list[Segment]:
         """Emit what the frames pushed so far settle; `held` pauses were held before the push.
@@ -428,9 +432,35 @@ class PauseScan:
         return segments
 
 
+class BlockSegmenter:
+    """`segment`'s path from samples to segments for every strategy but `fixed`: `params`
+    is :class:`HybridParams` (the hybrids), :class:`SrpolParams` or None (`vad`).
+
+    :meth:`push` each block of samples (whole frames in all but the last), then
+    :meth:`finish` for the segments of the frame timeline, as the whole-clip functions
+    give them.  A :class:`BlockLabeller` hands each chunk of labels to a :class:`PauseScan`,
+    so no sample or label is kept: besides the block in hand and the labeller's state it
+    holds the segments so far and the open segment's pauses (the hybrids) or every pause."""
+
+    def __init__(self, params: HybridParams | SrpolParams | None, vad_config: VadConfig,
+                 sample_rate: int, min_pause_ms: int | None = None):
+        self._scan, self._segments = PauseScan(params, vad_config.frame_ms, min_pause_ms), []
+        self._labeller = BlockLabeller(vad_config, sample_rate,
+                                       lambda labels: self._segments.extend(self._scan.push_labels(labels)))
+
+    def push(self, samples: np.ndarray) -> None:
+        self._labeller.push(samples)
+
+    def finish(self) -> list[Segment]:
+        """The segments not yet returned; a second finish finds none, as a second flush."""
+        self._labeller.finish()
+        segments, self._segments = self._segments + self._scan.flush(), []
+        return segments
+
+
 def detect_pauses(track: FrameLabelTrack, min_pause_ms: int | None = None) -> list[Pause]:
     """All maximal non-speech runs of at least `min_pause_ms`, in time order:
-    a :class:`PauseScan` with no hybrid scan, fed the whole track as one block.
+    a :class:`PauseScan` fed the whole track as one block, then closed.
 
     With the default (one frame) every non-speech run is a pause, which is
     what the pause-driven segmenters consume; longer thresholds are for

@@ -47,6 +47,7 @@ CLIPS = {
     "phone": (8000, 12 * 8000 + 5, 0),
     "long": (8000, (2 * FLOOR_CHUNK + 500) * 80 + 17, 0),  # over 2 x FLOOR_CHUNK 10 ms frames
     "odd-rate": (11025, 3 * 11025, 0),  # frames of no whole sample count: exit 1
+    "sliver": (8000, 369, 0),  # 0.046125 s: 370 cuts of 0.00012466 s leave 8e-7 s
 }
 SHAPES = ("empty", "one-sample", "sub-frame", "frames", "ragged", "quiet-end", "phone", "odd-rate")
 # Copies of the talk under names on both sides of the YAML writer's plain-name
@@ -226,10 +227,18 @@ def cells() -> list[Cell]:
                                        "{tmp}/empty.wav")),
         Cell("max-len-rounds-to-zero", ("segment", "--min-len", "1e-300", "--max-len", "1e-300",
                                         "{tmp}/empty.wav")),
+        # under the 1e-5 s seam tolerance: refused before the input is opened
+        Cell("length-under-seam", ("segment", "--strategy", "fixed", "--length", "6e-7", "{tmp}/sub-frame.wav")),
+        Cell("max-len-under-seam", ("segment", "--min-len", "6e-7", "--max-len", "6e-7", "{tmp}/sub-frame.wav")),
+        # a last remainder that six decimals end where the entry before it ends is left out
+        Cell("fixed-last-sliver", ("segment", "--strategy", "fixed", "--length", "0.00012466",
+                                   "-o", "{tmp}/fixed-last-sliver.yaml", "{tmp}/sliver.wav")),
+        Cell("hybrid-last-sliver", ("segment", "--min-len", "0.00012466", "--max-len", "0.00012466",
+                                    "-o", "{tmp}/hybrid-last-sliver.yaml", "{tmp}/sliver.wav")),
     ]
     # stats and compare on JSON lines, pausecut YAML and MuST-C YAML
     for name in ("ref.jsonl", "hyp.yaml", "mustc.yaml", "talk-vad-20-yaml.yaml", "talk-srpol-30-jsonl.jsonl",
-                 "name-space.yaml", "name-non-utf8.yaml"):
+                 "name-space.yaml", "name-non-utf8.yaml", "fixed-last-sliver.yaml"):
         out.append(Cell(f"stats-{name}", ("stats", f"{{tmp}}/{name}")))
         out.append(Cell(f"stats-json-{name}", ("stats", "--json", f"{{tmp}}/{name}")))
     out.append(Cell("stats-total", ("stats", "--json", "--total-duration", "25", "{tmp}/mustc.yaml")))

@@ -702,26 +702,41 @@ class TestStats:
         assert run(["stats", out, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["pct_filtered"] == 0.0
 
+    @pytest.mark.parametrize("strategy", [["fixed", "--length", "0.00012466"],
+                                          ["hybrid", "--min-len", "0.00012466", "--max-len", "0.00012466"]])
+    def test_last_sliver_written_before_the_previous_end_dropped(self, tmp_path, capsys, strategy):
+        # 369 samples at 8 kHz leave an 8e-7 s remainder after the 370th cut, which six
+        # decimals write as ending where the entry before it ends
+        wav, out = tmp_path / "c.wav", tmp_path / "m.yaml"
+        write_wav(wav, clip_from(silence(369 / 8000, 8000), rate=8000))
+        assert run(["segment", "--strategy", *strategy, "-o", out, wav]) == 0
+        assert len(read_manifest(out)[0]) == 370
+        assert run(["stats", out, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["pct_filtered"] == 0.0
+
     def test_inner_segment_written_as_zero_seconds_names_the_input(self, tmp_path, capsys):
         # a length six decimals write as 0 s is the flag's fault, refused before the walk
         wav, out = tmp_path / "a.wav", tmp_path / "m.yaml"
         write_wav(wav, clip_from(tone(0.001)))
         assert run(["segment", "--strategy", "fixed", "--length", "4e-7", "-o", out, wav]) == 1
-        assert capsys.readouterr().err == "pausecut: error: --length must not round to 0.000000 s, got 4e-07\n"
+        assert capsys.readouterr().err == "pausecut: error: --length must be at least 1e-05 s, got 4e-07\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "strategy",
         [["fixed", "--length", "1e-300"], ["hybrid", "--min-len", "1e-300", "--max-len", "1e-300"],
-         ["hybrid-force", "--min-len", "5e-7", "--max-len", "5e-7"]],
-        ids=["fixed", "hybrid", "hybrid-force"],
+         ["hybrid-force", "--min-len", "5e-7", "--max-len", "5e-7"], ["fixed", "--length", "6e-7"],
+         ["hybrid", "--min-len", "6e-7", "--max-len", "6e-7"], ["fixed", "--length", "9.99e-6"]],
+        ids=["fixed", "hybrid", "hybrid-force", "fixed-6e-7", "hybrid-6e-7", "fixed-under-seam"],
     )
     def test_length_written_as_zero_seconds_refused_before_any_input(self, tmp_path, capsys, strategy):
         # every segment would be built before the writer refused the first (unbounded
-        # for 1e-300), so the flag is refused first: the missing input is never opened
+        # for 1e-300), so a length under the seam tolerance, within which six decimals
+        # can end an entry at or before the one before it, is refused first: the
+        # missing input is never opened
         flag, value = strategy[-2:]
         assert run(["segment", "--strategy", *strategy, str(tmp_path / "missing.wav")]) == 1
-        assert capsys.readouterr().err == f"pausecut: error: {flag} must not round to 0.000000 s, got {float(value)}\n"
+        assert capsys.readouterr().err == f"pausecut: error: {flag} must be at least 1e-05 s, got {float(value)}\n"
 
     def test_srpol_max_len_written_as_zero_seconds_cuts_at_pauses(self, tmp_path, capsys):
         wav = tmp_path / "a.wav"
@@ -729,25 +744,21 @@ class TestStats:
         assert run(["segment", "--strategy", "srpol", "--max-len", "1e-300", "-o", "-", wav]) == 0
         assert capsys.readouterr().out.count("{wav: a.wav") == 2
 
-    def test_microsecond_entries_refused_or_read_back(self, tmp_path, capsys):
-        # six decimals can end an entry at or before the previous entry's end
-        wav, ten_ms = tmp_path / "a.wav", tmp_path / "b.wav"
-        write_wav(wav, clip_from(tone(0.0005)))
-        write_wav(ten_ms, clip_from(tone(0.01)))
-        out, refused = tmp_path / "m.yaml", 0
+    def test_microsecond_entries_refused_or_read_back(self):
+        # six decimals can end an entry at or before the previous entry's end; `segment`
+        # refuses such lengths before any input, so the writer is swept on its own
+        refused = []
         for length in [*np.linspace(5e-7, 4e-6, 200).tolist(), 1.5e-6]:
-            path = ten_ms if length == 1.5e-6 else wav
-            code = run(["segment", "--strategy", "fixed", "--length", repr(length), "-o", out, path])
-            err = capsys.readouterr().err
-            if code:  # the input's manifest, or a length that six decimals write as 0 s
-                prefix = "--length must not round" if round(length, 6) == 0 else f"{path}: "
-                assert err.startswith(f"pausecut: error: {prefix}"), length
-                assert not out.exists()
-                refused += 1
-            else:
-                assert run(["stats", out]) == 0, (length, capsys.readouterr().err)
-                out.unlink()
-        assert 0 < refused < 201 and code == 1  # the 10 ms WAV at 1.5e-6 s is refused
+            duration = 0.01 if length == 1.5e-6 else 0.0005
+            try:
+                entries = manifest.segments_to_entries(segment_fixed(duration, length), "a.wav", duration)
+            except ValueError as exc:  # overlapping, or a length that six decimals write as 0 s
+                assert str(exc).startswith(("overlapping segments at", "segment [")), length
+                refused.append(length)
+                continue
+            read = manifest.parse_manifest(render_manifest(entries, {}))[0]
+            assert entries_to_segments(read, float(f"{duration:.6f}"))[-1].kept, length
+        assert 0 < len(refused) < 201 and refused[-1] == 1.5e-6  # the 10 ms clip at 1.5e-6 s
 
 
 class TestCompare:

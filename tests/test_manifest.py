@@ -130,11 +130,15 @@ class TestSegmentsToEntries:
     def test_refuses_what_six_decimals_overlap(self, at):
         # entry `at` is [a - 4e-7, a + 1e-3 + 2e-7), written as ending 1e-6 past
         # its true end; the next, 1e-6 s long, is written as starting 2e-7 before
-        # it and reads as ending where entry `at` ended, wherever `at` falls
+        # it and reads as ending where entry `at` ended, wherever `at` falls; a
+        # last one ends inside the seam tolerance of the total and is dropped
         cuts = [k / 1000 for k in range(at)] + [at / 1000 - 4e-7, (at + 1) / 1000 + 2e-7]
         segs = [Segment(a, b) for a, b in zip(cuts, cuts[1:])]
-        assert len(segments_to_entries(segs, "x.wav")) == at + 1
+        entries = segments_to_entries(segs, "x.wav")
+        assert len(entries) == at + 1
         segs.append(Segment(cuts[-1], cuts[-1] + 1e-6))
+        assert segments_to_entries(segs, "x.wav") == entries
+        segs.append(Segment(cuts[-1] + 1e-6, cuts[-1] + 1.0))
         with pytest.raises(ValueError, match=f"^overlapping segments at offset {cuts[-1]:.6f}$"):
             segments_to_entries(segs, "x.wav")
 
@@ -143,8 +147,9 @@ class TestSegmentsToEntries:
         # random tilings with microsecond segments and cuts near six-decimal
         # ties, some past 1,024 and 2,048 entries: the writer refuses a tiling
         # exactly when the reader refuses the same entries written unchecked
-        # (a last entry that rounds to 0 s left out), and the reader's pieces
-        # are the written segments to six decimals, bar snapped seams
+        # (the last segment's entry left out where it rounds to 0 s or to an end
+        # at or before the previous entry's), and the reader's pieces are the
+        # written segments to six decimals, bar snapped seams
         refused = {"overlapping": 0, "segment": 0}
         for count in [*rng.integers(1, 60, 40), 1023, 1025, 2047, 2049, 2300] * 2:
             micro = rng.choice([0.0, 0.003, 0.2])  # share of microsecond segments
@@ -159,7 +164,9 @@ class TestSegmentsToEntries:
             total = cuts[-1]
             unchecked = [ManifestEntry("a.wav", s.start, s.duration, not s.kept)
                          for s in segs if s.kept or emit_dropped]
-            if unchecked and not round(unchecked[-1].duration, 6):
+            ends = [round(e.offset, 6) + round(e.duration, 6) for e in unchecked[-2:]]
+            if (segs[-1].kept or emit_dropped) and (not round(unchecked[-1].duration, 6)
+                                                    or len(ends) == 2 and ends[1] <= ends[0]):
                 unchecked.pop()
             try:
                 entries = segments_to_entries(segs, "a.wav", total, emit_dropped)

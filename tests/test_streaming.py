@@ -331,6 +331,10 @@ _IMPOSSIBLE = {
     "frames-pushed-fraction": _checkpoint(frames_pushed=2.5),
     "frames-pushed-float": _checkpoint(frames_pushed=220.0),
     "frames-pushed-negative": _checkpoint(frames_pushed=-1),
+    # every push splits at the horizon, segment start + max_len (20 s here), before it returns
+    "frames-pushed-at-horizon": _checkpoint(frames_pushed=1000),
+    "frames-pushed-past-horizon": _checkpoint(frames_pushed=2**40),
+    "frames-pushed-past-float": _checkpoint(frames_pushed=10**400),
     "window-too-long": _checkpoint(vad_window=_WINDOW + _WINDOW[:50]),
     "window-too-short": _checkpoint(vad_window=_WINDOW[1:]),
     "window-nan-text": _checkpoint(vad_window=["nan"]),
@@ -373,6 +377,10 @@ class TestCheckpoint:
     def test_impossible_states_fixture_restores_unchanged(self):
         blob = _checkpoint()
         assert StreamingSegmenter.restore_state(blob).save_state() == blob.replace(b" ", b"")
+
+    def test_one_frame_short_of_the_horizon_restores(self):
+        resumed = StreamingSegmenter.restore_state(_checkpoint(frames_pushed=999))
+        assert resumed.frames_pushed == 999 and resumed.segment_start == 0.0
 
     @pytest.mark.parametrize("params", [PLAIN, FORCE], ids=["plain", "force"])
     def test_resume_from_every_kind_of_state(self, rng, params):

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pausecut import AudioClip, FrameLabelTrack, HybridParams, Pause, VadConfig, classify
-from pausecut import Segment, detect_pauses, segment_hybrid, segment_hybrid_force, vad
+from pausecut import AudioClip, BlockSegmenter, FrameLabelTrack, HybridParams, Pause, VadConfig, classify
+from pausecut import Segment, SrpolParams, detect_pauses, segment_hybrid, segment_hybrid_force
+from pausecut import segment_srpol, segment_vad_merge, vad
 from pausecut.audio import iter_frames
 from pausecut.segmenters import segment_between
 from pausecut.vad import (
@@ -406,21 +407,74 @@ class TestPauseScan:
         assert scan.flush() == [Segment(2.0, 3.2)]
         assert scan.flush() == [] and scan.segment_start == 3.2
 
-    def test_emitting_without_params_refused(self):
-        # a pause-only scan, as detect_pauses and CLI vad and srpol build it, has
-        # nothing to split with; it refuses before the labels move the stream
+    def test_scan_without_params_is_the_vad_scan(self):
+        # as `segment --strategy vad` runs it: pushes emit nothing, the flush tiles [0, end)
         scan = PauseScan(None, 20)
-        scan.push_runs(np.array([True, False, False]))
-        for emit in (lambda: scan.push_labels(np.zeros(5, bool)), scan.flush):
-            with pytest.raises(TypeError, match="^PauseScan has no HybridParams"):
-                emit()
-        assert scan.frames_pushed == 3 and not scan._finished
-        assert [p.frame_span for p in scan.close()] == [(1, 2)]
+        assert scan.push_labels(np.array([True, False, False])) == []
+        assert scan.push_labels(np.ones(2, bool)) == [] and scan.frames_pushed == 5
+        assert scan.flush() == [Segment(0.0, 0.02), Segment(0.02, 0.06, kept=False), Segment(0.06, 0.1)]
+        assert scan.close() == [] and scan.segment_start == 0.1
+
+    @pytest.mark.parametrize("params", [HybridParams(1.0, 2.0), HybridParams(0.5, 1.0, True, 100),
+                                        SrpolParams(1.0), None], ids=["hybrid", "force", "srpol", "vad"])
+    def test_a_second_flush_finds_none(self, params):
+        labels = np.repeat([True, False, True, False, True], [30, 10, 60, 5, 55])
+        scan = PauseScan(params, 20)
+        got = scan.push_labels(labels[:100]) + scan.push_labels(labels[100:]) + scan.flush()
+        assert got[0].start == 0.0 and got[-1].end == 3.2 and len(got) > 1
+        assert all(a.end == b.start for a, b in zip(got, got[1:]))
+        assert scan.flush() == [] and scan.segment_start == 3.2
+        empty = PauseScan(params, 20)
+        assert empty.flush() == [] and empty.flush() == []
 
     def test_min_pause_below_one_frame_refused(self):
         with pytest.raises(ValueError, match=r"min_pause_ms \(10\) must be at least one frame \(20 ms\)"):
             PauseScan(HybridParams(), 20, 10)
         assert PauseScan(HybridParams(), 20).min_pause_ms == 20
+
+
+class TestBlockSegmenter:
+    @pytest.mark.parametrize("rate,frame_ms", RATE_FRAME)
+    def test_blocks_give_the_whole_clip_functions(self, rng, monkeypatch, rate, frame_ms):
+        # uneven blocks of samples, labels reaching the scan in chunks of every size:
+        # each strategy equals classify, then detect_pauses, then its whole-clip function
+        spf, frame_s = rate * frame_ms // 1000, frame_ms / 1000
+        for trial in range(16):
+            monkeypatch.setattr(vad, "FLOOR_CHUNK", [FLOOR_CHUNK, 1, 37, 250][trial % 4])
+            n_samples = int(rng.integers(0, 500)) * spf + int(rng.integers(0, spf))
+            clip = noisy_clip(rng, n_samples, rate, float(rng.choice([0.0, 25.0])))
+            cfg = VadConfig(int(rng.integers(0, 4)), frame_ms)
+            min_pause = None if rng.random() < 0.3 else frame_ms * int(rng.integers(1, 6))
+            track = classify(clip, cfg)
+            pauses, end = detect_pauses(track, min_pause), track.duration
+            min_len = frame_s * int(rng.integers(1, 120))
+            max_len = min_len + frame_s * int(rng.integers(0, 60))
+            plain, srpol = HybridParams(min_len, max_len), SrpolParams(max_len)
+            force = HybridParams(min_len, max_len, True, frame_ms * int(rng.integers(1, 40)))
+            if min_pause is None:
+                assert segment_between(pauses, end) == segment_vad_merge(track)
+            for params, want in [(None, segment_between(pauses, end)),
+                                 (srpol, segment_srpol(Segment(0.0, end), pauses, srpol) if end else []),
+                                 (plain, segment_hybrid(pauses, end, plain)),
+                                 (force, segment_hybrid_force(pauses, end, force))]:
+                segmenter = BlockSegmenter(params, cfg, rate, min_pause)
+                for block in random_blocks(rng, clip.samples, spf):
+                    segmenter.push(block)
+                assert segmenter.finish() == want, (trial, params)
+
+    def test_hybrids_emit_as_they_settle(self, monkeypatch):
+        # no label byte is kept: each FLOOR_CHUNK of labels (here 10 s) reaches the
+        # scan, which emits what they settle and holds the open segment's pauses
+        monkeypatch.setattr(vad, "FLOOR_CHUNK", 500)
+        clip = clip_from(*[np.concatenate([tone(4.0), silence(0.5)])] * 60)  # 4.5 min
+        segmenter = BlockSegmenter(HybridParams(17.0, 20.0), VadConfig(), clip.sample_rate)
+        segmenter.push(clip.samples[: len(clip.samples) // 2])
+        assert len(segmenter._segments) >= 5 and len(segmenter._scan._pauses) <= 5
+        segmenter.push(clip.samples[len(clip.samples) // 2 :])
+        got = segmenter.finish()
+        track = classify(clip, VadConfig())
+        assert got == segment_hybrid(detect_pauses(track), track.duration, HybridParams(17.0, 20.0))
+        assert segmenter.finish() == []
 
 
 def _runs(labels):
