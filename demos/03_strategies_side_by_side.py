@@ -6,12 +6,17 @@ shows the trade-offs: VAD-merge discards silence but produces uneven
 lengths; fixed hits its target length but cuts mid-phrase; the recursive
 splitter makes short segments; the hybrid scan lands between 17 and 20 s
 and its forced variant drops well below that whenever long pauses exist.
+Last, the hybrid cut is made again as `pausecut segment` makes it, from a
+WAV read in blocks, and found equal to the whole-clip result.
 """
+
+import io
 
 import numpy as np
 
 from pausecut import (
     AudioClip,
+    BlockSegmenter,
     HybridParams,
     Segment,
     SrpolParams,
@@ -27,6 +32,7 @@ from pausecut import (
     segment_srpol,
     segment_vad_merge,
 )
+from pausecut.audio import encode_wav, iter_wav_chunks
 
 rate = 16000
 rng = np.random.default_rng(42)
@@ -86,3 +92,15 @@ srpol_stats = columns["srpol"]
 print(f"\nrecursive splitter average length on this talk: {srpol_stats.avg_len:.1f} s")
 print("hybrid average length:", f"{columns['hybrid'].avg_len:.1f} s,",
       "forced variant:", f"{columns['+force'].avg_len:.1f} s")
+
+# Bounded memory, as README shows it: each push returns the segments its block
+# settles, and finish() returns the rest.
+with io.BytesIO(encode_wav(clip)) as fh:
+    wav_rate, blocks = iter_wav_chunks(fh)  # about 1 MiB of whole frames each
+    segmenter = BlockSegmenter(HybridParams(17.0, 20.0), VadConfig(2, 20), wav_rate)
+    segments = []
+    for block in blocks:
+        segments += segmenter.push(block)
+segments += segmenter.finish()
+assert segments == outputs["hybrid"]
+print(f"\nBlockSegmenter on the WAV in blocks: {len(segments)} segments, equal to segment_hybrid")

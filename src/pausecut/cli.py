@@ -242,10 +242,9 @@ def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
                     segmenter = None if fixed else BlockSegmenter(params, vad_cfg, rate, scan_pause)
                 except ValueError as exc:  # the rate does not frame
                     raise CliError(f"{path}: {exc}") from exc
-                n_samples = 0
+                segments, n_samples = [], 0
                 for block in blocks:
-                    if segmenter is not None:
-                        segmenter.push(block)
+                    segments += [] if fixed else segmenter.push(block)
                     n_samples += len(block)
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc}") from exc
@@ -253,7 +252,7 @@ def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
             raise CliError(f"cannot decode {path}: {exc}") from exc
         duration, name = n_samples / rate, os.path.basename(path)
         try:  # a strategy's fault, or a segment no manifest can hold
-            segments = segment_fixed(duration, length) if fixed else segmenter.finish()
+            segments = segment_fixed(duration, length) if fixed else segments + segmenter.finish()
             return duration, segments_to_entries(segments, name, duration, emit_dropped)
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from exc

@@ -45,8 +45,8 @@ class StreamingSegmenter(PauseScan):
         fm, n, s = self.frame_ms, self._frames_pushed, self._segment_start
         return n - bisect_right(range(1, n + 1), s, key=lambda k: frame_time(k, fm))
 
-    def push_runs(self, labels) -> None:
-        """Refused, as `push_labels` is: the engine labels frames with its own VAD."""
+    def push_labels(self, labels) -> list[Segment]:
+        """Refused: the engine labels frames with its own VAD."""
         raise TypeError("StreamingSegmenter takes frames: call push_frame, not label blocks")
 
     def push_frame(self, frame: Frame) -> list[Segment]:

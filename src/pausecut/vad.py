@@ -24,18 +24,18 @@ with WebRTC; only the parameter surface (mode x frame size) matches.
 The rules have two implementations that give bit-identical labels:
 :meth:`EnergyVad.step`, a per-frame automaton that the streaming engine
 drives, and :class:`BlockLabeller`, which applies them with array
-operations to a clip that arrives in blocks of samples; batch
-:func:`classify` is it fed one block.  Batch memory is bounded: beyond
-the block in hand it holds one label byte per frame, the energies of one
-block and of fewer than FLOOR_CHUNK + FLOOR_WINDOW frames waiting for a
-floor, and the ranks of one chunk of FLOOR_CHUNK windows, never an int64
-copy of the samples.  Its floors
-follow van Herk's and Gil & Werman's block filter, widened from the
-minimum to the _FLOOR_LO + 2 smallest values: a window is one block's
-suffix joined with the next block's prefix, one sorted-insertion sweep
-ranks every suffix and prefix, and two ranked lists merge to their m-th
-smallest as min over i + j = m of max(A_i, B_j).  Ranks are selected,
-never computed, so the floors equal those of a sorted window.
+operations to a clip that arrives in blocks of samples and returns the
+labels each block settles; batch :func:`classify` is it fed one block.
+Its memory is bounded: beyond the block in hand it holds the energies
+of one block and of fewer than FLOOR_CHUNK + FLOOR_WINDOW frames waiting
+for a floor, and the ranks of one chunk of FLOOR_CHUNK windows, never a
+label or an int64 copy of the samples.  Its floors follow van Herk's
+and Gil & Werman's block filter, widened from the minimum to the
+_FLOOR_LO + 2 smallest values: a window is one block's suffix joined
+with the next block's prefix, one sorted-insertion sweep ranks every
+suffix and prefix, and two ranked lists merge to their m-th smallest as
+min over i + j = m of max(A_i, B_j).  Ranks are selected, never
+computed, so the floors equal those of a sorted window.
 """
 
 from __future__ import annotations
@@ -279,69 +279,69 @@ def classify(clip: AudioClip, config: VadConfig) -> FrameLabelTrack:
     errors (rate not divisible into frames) propagate from the audio layer.
     """
     labeller = BlockLabeller(config, clip.sample_rate)
-    labeller.push(clip.samples)
-    return labeller.finish()
+    return FrameLabelTrack(np.concatenate((labeller.push(clip.samples), labeller.finish())), config.frame_ms)
 
 
 class BlockLabeller:
     """:func:`classify` of a clip that arrives in blocks of samples.
 
-    Every block but the last must hold whole frames.  Between blocks it
-    holds the last FLOOR_WINDOW - 1 energies, the newest raw-speech frame,
-    the energies waiting for a floor (fewer than FLOOR_CHUNK) and a label
-    byte per frame, unless `sink` takes each labelled chunk instead.  Floors
-    are computed FLOOR_CHUNK frames at a time, whatever the block size: each
-    call of the block filter makes some 200 numpy calls, which --jobs
+    :meth:`push` returns the labels of the frames it labels, :meth:`finish` the
+    rest.  Every block but the last must hold whole frames; each is checked as
+    :class:`AudioClip` samples are, and one pushed after finish raises.  Between
+    blocks it holds the last FLOOR_WINDOW - 1 energies, the newest raw-speech
+    frame and the energies waiting for a floor (fewer than FLOOR_CHUNK), never a
+    label.  Floors are computed FLOOR_CHUNK frames at a time, whatever the block
+    size: each call of the block filter makes some 200 numpy calls, which --jobs
     threads contend for.  The labels do not depend on where the clip is cut.
     """
 
-    def __init__(self, config: VadConfig, sample_rate: int, sink=None):
+    def __init__(self, config: VadConfig, sample_rate: int):
         self.config = config
         self._spf = samples_per_frame(sample_rate, config.frame_ms)
         self._energies = np.empty(0)  # min(labelled, FLOOR_WINDOW - 1) history, then the waiting
         self._labelled = 0
         self._last_raw = -config.hangover - 1
-        self._labels: list[np.ndarray] = []
-        self._sink = self._labels.append if sink is None else sink
-        self._ragged = False  # the last block ended inside a frame
+        self._ragged = self._finished = False  # the last block ended inside a frame; finish called
 
-    def push(self, samples: np.ndarray) -> None:
+    def push(self, samples: np.ndarray) -> np.ndarray:
+        if self._finished:
+            raise RuntimeError("stream already flushed")
+        samples = as_int16(samples)
         if self._ragged:
             raise ValueError("only the last block may end inside a frame")
         self._ragged = len(samples) % self._spf > 0
         self._energies = np.concatenate((self._energies, _energies(samples, self._spf)))
-        self._label(final=False)
+        return self._label(final=False)
 
-    def finish(self) -> FrameLabelTrack:
-        self._label(final=True)
-        labels = np.concatenate([np.zeros(0, bool), *self._labels])
-        return FrameLabelTrack(labels, self.config.frame_ms)
+    def finish(self) -> np.ndarray:
+        self._finished = True
+        return self._label(final=True)
 
-    def _label(self, final: bool) -> None:
+    def _label(self, final: bool) -> np.ndarray:
         """Label, in one pass, every whole FLOOR_CHUNK of the waiting frames, or all if `final`."""
         e, lead = self._energies, min(self._labelled, FLOOR_WINDOW - 1)
         n = len(e) - lead if final else (len(e) - lead) // FLOOR_CHUNK * FLOOR_CHUNK
         if not n:
-            return
+            return np.zeros(0, bool)
         raw = e[lead : lead + n] > _noise_floors(e[: lead + n], lead) * self.config.multiplier
         t = np.arange(self._labelled, self._labelled + n)
         last_raw = np.maximum.accumulate(np.where(raw, t, self._last_raw))
-        self._sink(t - last_raw <= self.config.hangover)
         self._labelled, self._last_raw = self._labelled + n, int(last_raw[-1])
         self._energies = e[lead + n - min(self._labelled, FLOOR_WINDOW - 1) :]
+        return t - last_raw <= self.config.hangover
 
 
 class PauseScan:
     """The one walk from frame labels to pauses, and the one end of every pause strategy.
 
     :meth:`_toggle` alone opens and closes non-speech runs, at each label change in
-    a :meth:`push_runs` block or a streaming `push_frame`, and keeps each run of at
+    a :meth:`push_labels` block or a streaming `push_frame`, and keeps each run of at
     least `min_pause_ms` (default one frame) as a pause; :func:`detect_pauses` is it
-    fed one block.  With :class:`HybridParams`, :meth:`push_labels` and `push_frame`
-    emit what the frames so far settle, and the scan holds the open segment's
-    pauses; `srpol` (:class:`SrpolParams`) and `vad` (no params) need every pause,
-    so they emit only at the end.  :meth:`close` ends the stream, :meth:`flush` ends
-    it with the strategy's segments, and later pushes raise."""
+    fed one block.  With :class:`HybridParams` both return what the frames so far
+    settle, and the scan holds the open segment's pauses; `srpol` (:class:`SrpolParams`)
+    and `vad` (no params) need every pause, so their pushes return [].  :meth:`close`
+    ends the stream, :meth:`flush` ends it with the strategy's segments, and later
+    pushes raise."""
 
     def __init__(self, params: HybridParams | SrpolParams | None, frame_ms: int,
                  min_pause_ms: int | None = None):
@@ -361,18 +361,15 @@ class PauseScan:
     def segment_start(self) -> float:
         return self._segment_start
 
-    def push_runs(self, labels: np.ndarray) -> None:
-        """Take the next frames' labels (True: speech); each change opens or closes a run."""
+    def push_labels(self, labels: np.ndarray) -> list[Segment]:
+        """Take the next frames' labels (True: speech), each change opening or closing
+        a run; return the segments they settle (hybrids only)."""
         if self._finished:
             raise RuntimeError("stream already flushed")
-        first, self._frames_pushed = self._frames_pushed, self._frames_pushed + len(labels)
+        held, first = len(self._pauses), self._frames_pushed
+        self._frames_pushed += len(labels)
         for a in np.flatnonzero(np.diff(labels, prepend=self._run_start is None)).tolist():
             self._toggle(first + a)
-
-    def push_labels(self, labels: np.ndarray) -> list[Segment]:
-        """:meth:`push_runs`, then return the segments the labels settle (hybrids only)."""
-        held = len(self._pauses)
-        self.push_runs(labels)
         return self._settle(held) if isinstance(self.params, HybridParams) else []
 
     def close(self) -> list[Pause]:
@@ -436,26 +433,26 @@ class BlockSegmenter:
     """`segment`'s path from samples to segments for every strategy but `fixed`: `params`
     is :class:`HybridParams` (the hybrids), :class:`SrpolParams` or None (`vad`).
 
-    :meth:`push` each block of samples (whole frames in all but the last), then
-    :meth:`finish` for the segments of the frame timeline, as the whole-clip functions
-    give them.  A :class:`BlockLabeller` hands each chunk of labels to a :class:`PauseScan`,
-    so no sample or label is kept: besides the block in hand and the labeller's state it
-    holds the segments so far and the open segment's pauses (the hybrids) or every pause."""
+    :meth:`push` returns the segments a block of samples settles (the hybrids only),
+    :meth:`finish` the rest: the whole-clip functions' segments of the frame timeline.
+    A block pushed after finish raises, and a second finish finds none.  Each push's
+    labels, if any, go from a :class:`BlockLabeller` to a :class:`PauseScan`, so no
+    sample, label or segment is kept: besides the block in hand and the labeller's
+    state it holds the open segment's pauses (the hybrids) or every pause."""
 
     def __init__(self, params: HybridParams | SrpolParams | None, vad_config: VadConfig,
                  sample_rate: int, min_pause_ms: int | None = None):
-        self._scan, self._segments = PauseScan(params, vad_config.frame_ms, min_pause_ms), []
-        self._labeller = BlockLabeller(vad_config, sample_rate,
-                                       lambda labels: self._segments.extend(self._scan.push_labels(labels)))
+        self._scan = PauseScan(params, vad_config.frame_ms, min_pause_ms)
+        self._labeller = BlockLabeller(vad_config, sample_rate)
 
-    def push(self, samples: np.ndarray) -> None:
-        self._labeller.push(samples)
+    def push(self, samples: np.ndarray) -> list[Segment]:
+        labels = self._labeller.push(samples)
+        return self._scan.push_labels(labels) if len(labels) else []
 
     def finish(self) -> list[Segment]:
         """The segments not yet returned; a second finish finds none, as a second flush."""
-        self._labeller.finish()
-        segments, self._segments = self._segments + self._scan.flush(), []
-        return segments
+        labels = self._labeller.finish()
+        return (self._scan.push_labels(labels) if len(labels) else []) + self._scan.flush()
 
 
 def detect_pauses(track: FrameLabelTrack, min_pause_ms: int | None = None) -> list[Pause]:
@@ -467,5 +464,5 @@ def detect_pauses(track: FrameLabelTrack, min_pause_ms: int | None = None) -> li
     reporting.  Returned pauses are sorted, disjoint and maximal.
     """
     scan = PauseScan(None, track.frame_ms, min_pause_ms)
-    scan.push_runs(track.labels)
+    scan.push_labels(track.labels)
     return scan.close()

@@ -124,7 +124,7 @@ def test_segment_loads_numpy(tmp_path):
     assert "numpy" in imported("-m", "pausecut", "segment", str(wav), "-o", str(tmp_path / "m.yaml"))
 
 
-def test_segment_loads_engine_only_for_streaming(tmp_path):
+def test_segment_never_loads_the_streaming_engine(tmp_path):
     wav = tmp_path / "t.wav"
     write_wav(wav, clip_from(tone(1.0), silence(0.5), tone(1.0)))
     segment = ("-m", "pausecut", "segment", str(wav), "-o", str(tmp_path / "m.yaml"))

@@ -167,14 +167,13 @@ class TestValidation:
         with pytest.raises(TypeError, match="^params must be HybridParams, got "):
             StreamingSegmenter(params, CFG)
 
-    @pytest.mark.parametrize("method", ["push_labels", "push_runs"])
-    def test_label_blocks_refused(self, method):
+    def test_label_blocks_refused(self):
         # labels would move the stream 5 frames past a VAD window of 3 energies
         engine = StreamingSegmenter(HybridParams(1.0, 2.0))
         assert _stream(engine, frames(clip_from(silence(0.06)), 20)) == []
         blob = engine.save_state()
         with pytest.raises(TypeError, match="push_frame"):
-            getattr(engine, method)(np.zeros(5, bool))
+            engine.push_labels(np.zeros(5, bool))
         assert engine.frames_pushed == 3 and engine.save_state() == blob
         assert StreamingSegmenter.restore_state(engine.save_state()).save_state() == blob
 

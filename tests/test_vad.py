@@ -155,17 +155,21 @@ class TestBlockLabeller:
                 cfg = VadConfig(mode, frame_ms)
                 want = classify(clip, cfg).labels.tolist()
                 assert want == step_labels(energies, cfg)
+                # each push returns the labels of the frames it labels, finish the rest
                 labeller = BlockLabeller(cfg, rate)
-                for block in random_blocks(rng, clip.samples, spf):
-                    labeller.push(block)
-                got = labeller.finish()
-                assert got.labels.tolist() == want and got.frame_ms == frame_ms
-                chunks = []
-                sunk = BlockLabeller(cfg, rate, chunks.append)
-                for block in random_blocks(rng, clip.samples, spf):
-                    sunk.push(block)
-                assert sunk.finish().total_frames == 0
-                assert np.concatenate([np.zeros(0, bool), *chunks]).tolist() == want
+                pushed = [labeller.push(block) for block in random_blocks(rng, clip.samples, spf)]
+                rest = labeller.finish()
+                assert all(len(labels) % chunk == 0 for labels in pushed)
+                assert np.concatenate([*pushed, rest]).tolist() == want
+                assert labeller.finish().tolist() == []
+
+    def test_push_after_finish_refused(self):
+        labeller = BlockLabeller(VadConfig(), 16000)
+        assert labeller.push(np.zeros(320 * 3, dtype=np.int16)).tolist() == []
+        assert labeller.finish().tolist() == [False] * 3
+        with pytest.raises(RuntimeError, match="stream already flushed"):
+            labeller.push(np.zeros(320, dtype=np.int16))
+        assert labeller.finish().tolist() == []
 
     def test_only_the_last_block_may_end_inside_a_frame(self):
         labeller = BlockLabeller(VadConfig(), 16000)
@@ -173,7 +177,7 @@ class TestBlockLabeller:
         labeller.push(np.zeros(100, dtype=np.int16))
         with pytest.raises(ValueError, match="only the last block"):
             labeller.push(np.zeros(320, dtype=np.int16))
-        assert labeller.finish().total_frames == 4
+        assert len(labeller.finish()) == 4
 
     def test_framing_errors_raised_at_construction(self):
         with pytest.raises(ValueError, match="incompatible rate/frame"):
@@ -372,7 +376,7 @@ class TestPauseScan:
             for min_pause_ms in range(frame_ms, 12 * frame_ms, frame_ms):
                 scan = PauseScan(None, frame_ms, min_pause_ms)
                 for a, b in zip(cuts, cuts[1:]):
-                    scan.push_runs(labels[a:b])
+                    assert scan.push_labels(labels[a:b]) == []
                 pauses = scan.close()
                 want = ref_pause_runs(labels.tolist(), frame_ms, min_pause_ms)
                 assert [p.frame_span for p in pauses] == want
@@ -381,23 +385,22 @@ class TestPauseScan:
                     assert tiling == [Segment(a * frame_ms / 1000, b * frame_ms / 1000, kept)
                                       for a, b, kept in ref_rle_runs(labels.tolist())]
 
-    @pytest.mark.parametrize("method", ["push_labels", "push_runs"])
-    def test_labels_after_flush_refused(self, method):
+    def test_labels_after_flush_refused(self):
         scan = PauseScan(HybridParams(1.0, 2.0), 20)
         assert scan.push_labels(np.ones(160, bool)) == [Segment(0.0, 2.0)]
         assert scan.flush() == [Segment(2.0, 3.2)]
         with pytest.raises(RuntimeError, match="stream already flushed"):
-            getattr(scan, method)(np.ones(310, bool))
+            scan.push_labels(np.ones(310, bool))
         assert scan.frames_pushed == 160 and scan.segment_start == 3.2 and scan.flush() == []
 
-    @pytest.mark.parametrize("method", ["push_labels", "push_runs"])
-    def test_labels_after_close_refused(self, method):
+    @pytest.mark.parametrize("params", [HybridParams(1.0, 2.0), None], ids=["hybrid", "vad"])
+    def test_labels_after_close_refused(self, params):
         # labels after close() would cut the ten-frame run into [(0, 4), (5, 9)]
-        scan = PauseScan(None if method == "push_runs" else HybridParams(1.0, 2.0), 20)
-        scan.push_runs(np.zeros(5, bool))
+        scan = PauseScan(params, 20)
+        assert scan.push_labels(np.zeros(5, bool)) == []
         assert [p.frame_span for p in scan.close()] == [(0, 4)]
         with pytest.raises(RuntimeError, match="stream already flushed"):
-            getattr(scan, method)(np.zeros(5, bool))
+            scan.push_labels(np.zeros(5, bool))
         assert scan.frames_pushed == 5 and [p.frame_span for p in scan.close()] == [(0, 4)]
 
     def test_flush_after_close_emits_the_remainder(self):
@@ -437,8 +440,10 @@ class TestBlockSegmenter:
     @pytest.mark.parametrize("rate,frame_ms", RATE_FRAME)
     def test_blocks_give_the_whole_clip_functions(self, rng, monkeypatch, rate, frame_ms):
         # uneven blocks of samples, labels reaching the scan in chunks of every size:
-        # each strategy equals classify, then detect_pauses, then its whole-clip function
+        # for each strategy the push returns plus finish() equal classify, then
+        # detect_pauses, then its whole-clip function
         spf, frame_s = rate * frame_ms // 1000, frame_ms / 1000
+        early = 0  # hybrid segments returned by a push, before finish
         for trial in range(16):
             monkeypatch.setattr(vad, "FLOOR_CHUNK", [FLOOR_CHUNK, 1, 37, 250][trial % 4])
             n_samples = int(rng.integers(0, 500)) * spf + int(rng.integers(0, spf))
@@ -458,23 +463,63 @@ class TestBlockSegmenter:
                                  (plain, segment_hybrid(pauses, end, plain)),
                                  (force, segment_hybrid_force(pauses, end, force))]:
                 segmenter = BlockSegmenter(params, cfg, rate, min_pause)
-                for block in random_blocks(rng, clip.samples, spf):
-                    segmenter.push(block)
-                assert segmenter.finish() == want, (trial, params)
+                pushed = [s for block in random_blocks(rng, clip.samples, spf) for s in segmenter.push(block)]
+                assert pushed + segmenter.finish() == want, (trial, params)
+                assert segmenter.finish() == []
+                if not isinstance(params, HybridParams):
+                    assert pushed == []
+                early += len(pushed)
+        assert early > 0
 
     def test_hybrids_emit_as_they_settle(self, monkeypatch):
         # no label byte is kept: each FLOOR_CHUNK of labels (here 10 s) reaches the
-        # scan, which emits what they settle and holds the open segment's pauses
+        # scan, which returns what they settle and holds the open segment's pauses
         monkeypatch.setattr(vad, "FLOOR_CHUNK", 500)
         clip = clip_from(*[np.concatenate([tone(4.0), silence(0.5)])] * 60)  # 4.5 min
         segmenter = BlockSegmenter(HybridParams(17.0, 20.0), VadConfig(), clip.sample_rate)
-        segmenter.push(clip.samples[: len(clip.samples) // 2])
-        assert len(segmenter._segments) >= 5 and len(segmenter._scan._pauses) <= 5
-        segmenter.push(clip.samples[len(clip.samples) // 2 :])
-        got = segmenter.finish()
+        got = segmenter.push(clip.samples[: len(clip.samples) // 2])
+        assert len(got) >= 5 and len(segmenter._scan._pauses) <= 5
+        got += segmenter.push(clip.samples[len(clip.samples) // 2 :]) + segmenter.finish()
         track = classify(clip, VadConfig())
         assert got == segment_hybrid(detect_pauses(track), track.duration, HybridParams(17.0, 20.0))
         assert segmenter.finish() == []
+
+    def test_pushes_that_label_no_frame_skip_the_scan(self, monkeypatch):
+        monkeypatch.setattr(vad, "FLOOR_CHUNK", 100)
+        segmenter, scanned = BlockSegmenter(HybridParams(0.5, 1.0), VadConfig(), 16000), []
+        monkeypatch.setattr(segmenter._scan, "push_labels", lambda labels: scanned.append(len(labels)) or [])
+        for _ in range(5):  # 30 frames each: the fourth completes a chunk
+            assert segmenter.push(np.zeros(320 * 30, np.int16)) == []
+        segmenter.finish()
+        assert scanned == [100, 50]
+
+    @pytest.mark.parametrize("params", [None, SrpolParams(1.0), HybridParams(0.5, 1.0), HybridParams(0.5, 1.0, True, 100)],
+                             ids=["vad", "srpol", "hybrid", "hybrid-force"])
+    def test_push_after_finish_refused(self, params):
+        # the block would wait in the labeller and make the next finish raise
+        clip = clip_from(tone(1.0), silence(0.5), tone(1.0))
+        segmenter = BlockSegmenter(params, VadConfig(), clip.sample_rate)
+        got = segmenter.push(clip.samples) + segmenter.finish()
+        assert got[0].start == 0.0 and got[-1].end == 2.5
+        with pytest.raises(RuntimeError, match="stream already flushed"):
+            segmenter.push(clip.samples)
+        assert segmenter.finish() == [] and segmenter.finish() == []
+
+    @pytest.mark.parametrize("samples", [np.full(320, 40000, np.int32), np.ones(320, bool),
+                                         np.zeros(320), np.zeros((2, 160), np.int16)],
+                             ids=["int32-out-of-range", "bool", "float", "two-dimensional"])
+    def test_samples_checked_where_they_enter(self, samples):
+        segmenter = BlockSegmenter(HybridParams(), VadConfig(), 16000)
+        with pytest.raises(ValueError, match="samples must"):
+            segmenter.push(samples)
+        assert segmenter.finish() == []
+
+    def test_in_range_integers_give_the_int16_result(self):
+        clip = clip_from(tone(1.0), silence(0.5), tone(1.0))
+        want = segment_hybrid(detect_pauses(classify(clip, VadConfig())), clip.duration, HybridParams(0.5, 1.0))
+        for samples in [clip.samples.astype(np.int32), clip.samples.tolist()]:
+            segmenter = BlockSegmenter(HybridParams(0.5, 1.0), VadConfig(), clip.sample_rate)
+            assert segmenter.push(samples) + segmenter.finish() == want
 
 
 def _runs(labels):
