@@ -32,10 +32,13 @@ for a floor, and the ranks of one chunk of FLOOR_CHUNK windows, never a
 label or an int64 copy of the samples.  Its floors follow van Herk's
 and Gil & Werman's block filter, widened from the minimum to the
 _FLOOR_LO + 2 smallest values: a window is one block's suffix joined
-with the next block's prefix, one sorted-insertion sweep ranks every
-suffix and prefix, and two ranked lists merge to their m-th smallest as
-min over i + j = m of max(A_i, B_j).  Ranks are selected, never
-computed, so the floors equal those of a sorted window.
+with the next block's prefix, one sorted-insertion sweep orders the
+smallest values of every suffix and prefix, and two sorted lists merge
+to their m-th smallest as min over i + j = m of max(A_i, B_j).  The
+filter only compares and selects, so it runs on each energy's rank in
+its chunk (int16 at FLOOR_CHUNK), which keeps the energies' order, ties
+included: each selected rank maps back to the energy a sorted window
+gives, so the floors equal those of a sorted window.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ _FLOOR_POS = FLOOR_QUANTILE * (FLOOR_WINDOW - 1)
 _FLOOR_LO = int(_FLOOR_POS)
 _FLOOR_FRAC = _FLOOR_POS - _FLOOR_LO
 # Windows per chunk of batch floors, a whole number of blocks: a chunk's
-# ranks take about 3.4 MB whatever the clip length.  Fewer, larger chunks
+# ranks take about 1.2 MB whatever the clip length.  Fewer, larger chunks
 # make fewer numpy calls, which --jobs threads contend for under the GIL.
 FLOOR_CHUNK = 128 * FLOOR_WINDOW
 
@@ -252,21 +255,26 @@ def _window_floors(energies: np.ndarray) -> np.ndarray:
     n = len(energies) - FLOOR_WINDOW + 1
     nb = -(-n // FLOOR_WINDOW)  # blocks holding a window start, then one spare block
     pad = (nb + 1) * FLOOR_WINDOW - len(energies)
-    blocks = np.pad(energies, (0, pad), constant_values=np.inf).reshape(nb + 1, FLOOR_WINDOW)
+    # each energy's rank, in the smallest signed type whose maximum, +inf here, tops every rank
+    order, dtype = np.argsort(energies), np.min_scalar_type(-len(energies) - 1)
+    ranks, inf = np.empty(len(energies), dtype), np.iinfo(dtype).max
+    ranks[order] = np.arange(len(energies), dtype=dtype)
+    blocks = np.pad(ranks, (0, pad), constant_values=inf).reshape(nb + 1, FLOOR_WINDOW)
     columns = np.concatenate((blocks[:-1, ::-1], blocks[1:])).T  # reversed blocks, then the next
-    # runs[t, k, c]: k-th smallest (1-based) of columns[:t, c], +inf if t < k; runs[:, 0] = -inf.
+    # runs[t, k, c]: k-th smallest (1-based) of columns[:t, c], inf if t < k; runs[:, 0] = -1.
     # Step-major, so each insertion reads and writes one contiguous slab.
-    runs = np.full((FLOOR_WINDOW + 1, _FLOOR_LO + 3, 2 * nb), np.inf)
-    runs[:, 0] = -np.inf
+    runs = np.full((FLOOR_WINDOW + 1, _FLOOR_LO + 3, 2 * nb), inf, dtype)
+    runs[:, 0] = -1
     for t, column in enumerate(columns):  # sorted insertion of one value into every run
         np.minimum(runs[t, 1:], np.maximum(runs[t, :-1], column), out=runs[t + 1, 1:])
     suffix, prefix = runs[:0:-1, :, :nb], runs[:-1, :, nb:]  # [r, k, b]: blk[b, r:], blk[b + 1, :r]
-    a, b = (_merged_rank(suffix, prefix, m).T.ravel()[:n] for m in (_FLOOR_LO + 1, _FLOOR_LO + 2))
+    a, b = (energies[order[_merged_rank(suffix, prefix, m).T.ravel()[:n]]]  # rank r: energies[order[r]]
+            for m in (_FLOOR_LO + 1, _FLOOR_LO + 2))
     return a + (b - a) * _FLOOR_FRAC
 
 
 def _merged_rank(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """m-th smallest (1-based) of two lists sorted along axis 1, each with -inf at index 0."""
+    """m-th smallest (1-based) of two rank lists sorted along axis 1, each with -1 at index 0."""
     return reduce(np.minimum, (np.maximum(x[:, i], y[:, m - i]) for i in range(m + 1)))
 
 
@@ -362,10 +370,12 @@ class PauseScan:
         return self._segment_start
 
     def push_labels(self, labels: np.ndarray) -> list[Segment]:
-        """Take the next frames' labels (True: speech), each change opening or closing
-        a run; return the segments they settle (hybrids only)."""
+        """Take the next frames' labels, a 1-D bool array (True: speech), each change
+        opening or closing a run; return the segments they settle (hybrids only)."""
         if self._finished:
             raise RuntimeError("stream already flushed")
+        if not (isinstance(labels, np.ndarray) and labels.dtype == bool and labels.ndim == 1):
+            raise ValueError("labels must be a 1-D numpy bool array")
         held, first = len(self._pauses), self._frames_pushed
         self._frames_pushed += len(labels)
         for a in np.flatnonzero(np.diff(labels, prepend=self._run_start is None)).tolist():

@@ -10,6 +10,7 @@ from pausecut import segment_srpol, segment_vad_merge, vad
 from pausecut.audio import iter_frames
 from pausecut.segmenters import segment_between
 from pausecut.vad import (
+    COLD_START_EPS,
     FLOOR_CHUNK,
     FLOOR_MAX,
     FLOOR_MIN,
@@ -121,6 +122,21 @@ class TestClassify:
             tracemalloc.stop()
         assert peak < 2 * clip.samples.nbytes
 
+    def test_the_100th_frame_takes_the_window_floor(self):
+        # frame 99 (energy 100) is under its window floor, 100 + 0.9 * (1e6 - 100), so
+        # non-speech, its hangover spent; the cold-start floor, the minimum (0) plus
+        # COLD_START_EPS, would make it speech in every mode
+        levels = np.repeat([0, 1000, 0, 10], [1, 90, 8, 1])  # energies 0, 1e6, 0 and 100
+        clip = AudioClip(np.repeat(levels, 320).astype(np.int16), 16000)
+        energies = frame_energies(clip, 20).tolist()
+        assert len(energies) == FLOOR_WINDOW and energies[99] == 100.0
+        for mode in range(4):
+            cfg = VadConfig(mode, 20)
+            assert energies[99] > max(0.0 + COLD_START_EPS, FLOOR_MIN) * cfg.multiplier
+            got = step_labels(energies, cfg), classify(clip, cfg).labels.tolist(), ref_vad_labels(energies, cfg)
+            assert [labels[99] for labels in got] == [False] * 3
+            assert got[0] == got[1] == got[2]
+
     def test_propagates_framing_errors(self):
         clip = AudioClip(np.zeros(441, dtype=np.int16), 22050)
         with pytest.raises(ValueError, match="incompatible rate/frame"):
@@ -220,6 +236,12 @@ class TestNoiseFloors:
         assert (floors == FLOOR_MIN).any() and (floors == FLOOR_MAX).any()
         assert_floors_bit_identical(energies)
 
+    @pytest.mark.parametrize("kind", range(4))
+    def test_bit_identical_with_ranks_past_int16(self, rng, monkeypatch, kind):
+        # the first chunk's 40,099 energies rank in int32, the second's 150 in int16
+        monkeypatch.setattr(vad, "FLOOR_CHUNK", 40_000)
+        assert_floors_bit_identical(random_energies(rng, 40_000 + FLOOR_WINDOW + 50, kind))
+
     def test_memory_does_not_grow_with_the_clip(self, rng):
         for n in (30_000, 300_000):
             energies = rng.uniform(0.0, 1e6, n)
@@ -229,7 +251,7 @@ class TestNoiseFloors:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak - energies.nbytes < 5_000_000  # one per-frame output, then a fixed bound
+            assert peak - energies.nbytes < 2_000_000  # one per-frame output, then a fixed bound
 
 
 class TestEnergies:
@@ -402,6 +424,16 @@ class TestPauseScan:
         with pytest.raises(RuntimeError, match="stream already flushed"):
             scan.push_labels(np.zeros(5, bool))
         assert scan.frames_pushed == 5 and [p.frame_span for p in scan.close()] == [(0, 4)]
+
+    @pytest.mark.parametrize("labels", [np.array([2, 1, 1, 0, 0, 1]), np.array([[True, False], [False, True]]),
+                                        [True, False], np.zeros(3)], ids=["ints", "2-D", "list", "floats"])
+    def test_labels_not_a_1d_bool_array_refused(self, labels):
+        # a walk over changes of value would close a pause at frame 0 (2 -> 1, both
+        # speech), and a 2-D block's rows would count as frames
+        scan = PauseScan(None, 20)
+        with pytest.raises(ValueError, match="labels must be a 1-D numpy bool array"):
+            scan.push_labels(labels)
+        assert scan.frames_pushed == 0 and scan.close() == []
 
     def test_flush_after_close_emits_the_remainder(self):
         scan = PauseScan(HybridParams(1.0, 2.0), 20)
