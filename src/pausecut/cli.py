@@ -184,8 +184,10 @@ def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
     if cfg["jobs"] is not None and cfg["jobs"] < 1:
         raise CliError(f"--jobs must be at least 1, got {cfg['jobs']}")
     if raw_rate is not None:
-        try:
+        try:  # the rate must fill whole frames only where frames are read
             block_rate(raw_rate)
+            if strategy != "fixed":
+                samples_per_frame(raw_rate, frame_ms)
         except ValueError as exc:
             raise CliError(f"--raw-rate must be usable: {exc}") from exc
     if args.inputs.count("-") > 1:
@@ -212,11 +214,6 @@ def _cmd_segment(args: argparse.Namespace, cfg: dict) -> int:
     fixed, hybrid, length = strategy == "fixed", strategy.startswith("hybrid"), cfg["length"]
     if fixed and not 0 < length < math.inf:
         raise CliError(f"--length must be positive and finite, got {length}")
-    if not fixed and raw_rate is not None:
-        try:
-            samples_per_frame(raw_rate, frame_ms)
-        except ValueError as exc:
-            raise CliError(f"--raw-rate must be usable with --frame-ms: {exc}") from exc
     try:
         params = SrpolParams(cfg["max_len"]) if strategy == "srpol" else None
         if hybrid:

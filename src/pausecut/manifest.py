@@ -325,10 +325,6 @@ def _seconds(value, key: str, record: dict) -> float:
     raise ManifestError(f"bad manifest record {record!r}: {key} must be a finite number")
 
 
-def coverage_end(entries: list[ManifestEntry]) -> float:
-    return max((e.end for e in entries), default=0.0)
-
-
 # Manifest values carry six decimals, so adjacent entries can disagree by
 # up to a microsecond after rounding; seams inside this tolerance, the last
 # one at `total_duration` too, are contiguous rather than gaps or overlaps.

@@ -36,13 +36,13 @@ class StreamingSegmenter(PauseScan):
         if not isinstance(params, HybridParams):
             raise TypeError(f"params must be HybridParams, got {type(params).__name__}")
         self.vad_config = vad_config or VadConfig()
-        super().__init__(params, self.vad_config.frame_ms, self.vad_config.frame_ms)
+        super().__init__(params, self.vad_config.frame_ms)
         self._vad = EnergyVad(self.vad_config)
 
     @property
     def buffered_frames(self) -> int:
         """Pushed frames whose end, frame_time(k) for frame k - 1, lies after the segment start."""
-        fm, n, s = self.frame_ms, self._frames_pushed, self._segment_start
+        fm, n, s = self.frame_ms, self.frames_pushed, self.segment_start
         return n - bisect_right(range(1, n + 1), s, key=lambda k: frame_time(k, fm))
 
     def push_labels(self, labels) -> list[Segment]:
@@ -55,15 +55,15 @@ class StreamingSegmenter(PauseScan):
             raise RuntimeError("stream already flushed")
         if frame.frame_ms != self.frame_ms:
             raise ValueError(f"frame is {frame.frame_ms} ms but the engine expects {self.frame_ms} ms")
-        if frame.index != self._frames_pushed:
+        if frame.index != self.frames_pushed:
             raise ValueError(
-                f"out-of-order frame: expected index {self._frames_pushed}, got {frame.index}"
+                f"out-of-order frame: expected index {self.frames_pushed}, got {frame.index}"
             )
 
         held = len(self._pauses)
         if self._vad.step(frame_energy(frame.samples)) == (self._run_start is not None):
             self._toggle(frame.index)  # speech ends the open run; non-speech opens one
-        self._frames_pushed += 1
+        self.frames_pushed += 1
         return self._settle(held)
 
     # -- checkpointing -----------------------------------------------------
@@ -76,8 +76,8 @@ class StreamingSegmenter(PauseScan):
             "vad_config": asdict(self.vad_config),
             "vad_window": list(self._vad._window),
             "vad_hangover": self._vad._hang,
-            "segment_start": self._segment_start,
-            "frames_pushed": self._frames_pushed,
+            "segment_start": self.segment_start,
+            "frames_pushed": self.frames_pushed,
             "run_start": self._run_start,
             "finished": self._finished,
             "pauses": [p.frame_span for p in self._pauses],
@@ -106,7 +106,7 @@ class StreamingSegmenter(PauseScan):
                             for last, (a, b) in zip([-2] + [b for _, b in spans], spans))):
                 raise ValueError("a position, window length, run, pause or flag out of range")
             engine._vad = EnergyVad(engine.vad_config, state["vad_window"], state["vad_hangover"])
-            engine._frames_pushed, engine._segment_start, engine._run_start = n, start, run
+            engine.frames_pushed, engine.segment_start, engine._run_start = n, start, run
             engine._finished = state["finished"]
             engine._pauses = [Pause.from_frames(a, b, fm) for a, b in state["pauses"]]
         except (ValueError, KeyError, TypeError, OverflowError) as exc:

@@ -357,17 +357,9 @@ class PauseScan:
         if not min_pause_ms >= frame_ms:  # nan too
             raise ValueError(f"min_pause_ms ({min_pause_ms}) must be at least one frame ({frame_ms} ms)")
         self.params, self.frame_ms, self.min_pause_ms = params, frame_ms, min_pause_ms
-        self._segment_start, self._frames_pushed, self._finished = 0.0, 0, False
+        self.segment_start, self.frames_pushed, self._finished = 0.0, 0, False
         self._run_start: int | None = None  # first frame of the open non-speech run
         self._pauses: list[Pause] = []  # closed, start >= segment start
-
-    @property
-    def frames_pushed(self) -> int:
-        return self._frames_pushed
-
-    @property
-    def segment_start(self) -> float:
-        return self._segment_start
 
     def push_labels(self, labels: np.ndarray) -> list[Segment]:
         """Take the next frames' labels, a 1-D bool array (True: speech), each change
@@ -376,8 +368,8 @@ class PauseScan:
             raise RuntimeError("stream already flushed")
         if not (isinstance(labels, np.ndarray) and labels.dtype == bool and labels.ndim == 1):
             raise ValueError("labels must be a 1-D numpy bool array")
-        held, first = len(self._pauses), self._frames_pushed
-        self._frames_pushed += len(labels)
+        held, first = len(self._pauses), self.frames_pushed
+        self.frames_pushed += len(labels)
         for a in np.flatnonzero(np.diff(labels, prepend=self._run_start is None)).tolist():
             self._toggle(first + a)
         return self._settle(held) if isinstance(self.params, HybridParams) else []
@@ -386,14 +378,14 @@ class PauseScan:
         """End the stream and its open run, if any; return the pauses not yet emitted."""
         self._finished = True
         if self._run_start is not None:
-            self._toggle(self._frames_pushed)
+            self._toggle(self.frames_pushed)
         return self._pauses
 
     def flush(self) -> list[Segment]:
         """:meth:`close`, then emit the rest of the stream: the hybrid remainder, srpol's
         bisection or the vad tiling of [0, end); a second flush finds none."""
-        pauses, s, p = self.close(), self._segment_start, self.params
-        end = frame_time(self._frames_pushed, self.frame_ms)
+        pauses, s, p = self.close(), self.segment_start, self.params
+        end = frame_time(self.frames_pushed, self.frame_ms)
         if s == end:  # flushed before, or every frame emitted
             return []
         if isinstance(p, HybridParams):
@@ -413,13 +405,13 @@ class PauseScan:
         So a window or horizon split goes out within max_len + min_pause_ms
         of its segment start, and the emissions plus the flush remainder are
         the batch scan, whatever the block cuts."""
-        fm, run, known = self.frame_ms, self._run_start, self._frames_pushed
+        fm, run, known = self.frame_ms, self._run_start, self.frames_pushed
         if run is not None and (known - run) * fm < self.min_pause_ms:
             run, known = None, run
         now, p = frame_time(known, fm), self.params
-        if now >= self._segment_start + p.max_len or p.force_split and len(self._pauses) > held:
+        if now >= self.segment_start + p.max_len or p.force_split and len(self._pauses) > held:
             open_start = None if run is None else frame_time(run, fm)
-            return self._emit(split_until(self._pauses, self._segment_start, now, p, open_start))
+            return self._emit(split_until(self._pauses, self.segment_start, now, p, open_start))
         return []
 
     def _toggle(self, i: int) -> None:
@@ -428,13 +420,13 @@ class PauseScan:
         first, self._run_start = self._run_start, i if self._run_start is None else None
         if first is not None and (i - first) * self.frame_ms >= self.min_pause_ms:
             pause = Pause.from_frames(first, i - 1, self.frame_ms)
-            if pause.start >= self._segment_start:
+            if pause.start >= self.segment_start:
                 self._pauses.append(pause)
 
     def _emit(self, segments: list[Segment]) -> list[Segment]:
         if segments:
-            self._segment_start = segments[-1].end
-            done = bisect.bisect_left(self._pauses, self._segment_start, key=lambda p: p.start)
+            self.segment_start = segments[-1].end
+            done = bisect.bisect_left(self._pauses, self.segment_start, key=lambda p: p.start)
             del self._pauses[:done]
         return segments
 

@@ -178,7 +178,7 @@ class TestSegment:
         args = ["segment", "--raw-rate", "8001", pcm, tmp_path / "missing.pcm"]
         assert run(args) == 1
         err = capsys.readouterr().err
-        assert err.startswith("pausecut: error: --raw-rate must be usable with --frame-ms: ")
+        assert err.startswith("pausecut: error: --raw-rate must be usable: incompatible rate/frame: ")
         assert "t.pcm" not in err
         assert run(["segment", "--strategy", "fixed", "--raw-rate", "8001", pcm]) == 0
         assert "duration: 3.000000" in capsys.readouterr().out

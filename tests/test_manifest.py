@@ -18,7 +18,6 @@ from pausecut.manifest import (
     SEAM_TOLERANCE,
     ManifestEntry,
     ManifestError,
-    coverage_end,
     entries_to_segments,
     parse_manifest,
     read_manifest,
@@ -274,10 +273,6 @@ class TestNormalization:
     def test_bad_duration_rejected(self):
         with pytest.raises(ManifestError, match="duration"):
             entries_to_segments([ManifestEntry("a", 0.0, 0.0)])
-
-    def test_coverage_end(self):
-        assert coverage_end(entries3()) == 10.0
-        assert coverage_end([]) == 0.0
 
 
 class TestWrite:

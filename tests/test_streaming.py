@@ -266,19 +266,19 @@ class ScanEveryPush(StreamingSegmenter):
 
     def push_frame(self, frame):
         fm = self.vad_config.frame_ms
-        assert frame.index == self._frames_pushed
+        assert frame.index == self.frames_pushed
         if self._vad.step(frame_energy(frame.samples)):
             if self._run_start is not None:
                 pause = Pause.from_frames(self._run_start, frame.index - 1, fm)
-                if pause.start >= self._segment_start:  # else a split has passed it
+                if pause.start >= self.segment_start:  # else a split has passed it
                     self._pauses.append(pause)
                 self._run_start = None
         elif self._run_start is None:
             self._run_start = frame.index
-        self._frames_pushed += 1
-        now = frame_time(self._frames_pushed, fm)
+        self.frames_pushed += 1
+        now = frame_time(self.frames_pushed, fm)
         open_start = None if self._run_start is None else frame_time(self._run_start, fm)
-        segments = split_until(self._pauses, self._segment_start, now, self.params, open_start)
+        segments = split_until(self._pauses, self.segment_start, now, self.params, open_start)
         return self._emit(segments)
 
 
