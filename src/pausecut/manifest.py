@@ -139,7 +139,7 @@ def _reads_back(text: str, loader) -> bool:
 
     try:
         return yaml.load(f"- {{wav: {text}, offset: 0}}", loader) == [{"wav": text, "offset": 0}]
-    except (yaml.YAMLError, ValueError, OverflowError):  # see _parse_yaml
+    except (yaml.YAMLError, ValueError, OverflowError, RecursionError):  # see _parse_yaml
         return False
 
 
@@ -222,8 +222,8 @@ def _parse_yaml(text: str) -> tuple[list[ManifestEntry], dict]:
 
     # libyaml refuses "\udcff" escapes (non-UTF-8 file names), which SafeLoader
     # reads, and raises UnicodeError for a lone surrogate; SafeLoader raises
-    # ValueError or OverflowError for an escape past U+10FFFF
-    errors = (yaml.YAMLError, ValueError, OverflowError)
+    # ValueError or OverflowError for an escape past U+10FFFF, RecursionError ~500 deep
+    errors = (yaml.YAMLError, ValueError, OverflowError, RecursionError)
     try:
         data = yaml.load(text, Loader=_lazy("YAML_LOADER"))
     except errors:
@@ -289,12 +289,12 @@ def _parse_jsonl(text: str) -> tuple[list[ManifestEntry], dict]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # a bad token, 4,300+ digits or deep nesting
             raise ManifestError(f"invalid JSON on line {i + 1}: {exc}") from exc
         if isinstance(record, dict) and "pausecut_manifest" in record:
             header = record.get("config", {})
             if not isinstance(header, dict):
-                raise ManifestError(f"manifest config must be a mapping, got {header!r}")
+                raise ManifestError(f"manifest config must be a mapping, got {_shown(header)}")
             continue
         entries.append(_entry_from_record(record))
     return entries, header
@@ -304,16 +304,16 @@ def _entry_from_record(record) -> ManifestEntry:
     """One manifest record as an entry; a value of the wrong type is an
     error, never coerced (`wav: yes` is not the file "True")."""
     if not isinstance(record, dict):
-        raise ManifestError(f"manifest record must be a mapping, got {record!r}")
+        raise ManifestError(f"manifest record must be a mapping, got {_shown(record)}")
     try:
         wav, offset, duration = record["wav"], record["offset"], record["duration"]
     except KeyError as exc:
         raise ManifestError(f"manifest record missing key {exc}") from exc
     dropped = record.get("dropped", False)
     if not isinstance(wav, str):
-        raise ManifestError(f"bad manifest record {record!r}: wav must be a string")
+        raise ManifestError(f"bad manifest record {_shown(record)}: wav must be a string")
     if not isinstance(dropped, bool):
-        raise ManifestError(f"bad manifest record {record!r}: dropped must be true or false")
+        raise ManifestError(f"bad manifest record {_shown(record)}: dropped must be true or false")
     return ManifestEntry(
         wav, _seconds(offset, "offset", record), _seconds(duration, "duration", record), dropped
     )
@@ -322,7 +322,15 @@ def _entry_from_record(record) -> ManifestEntry:
 def _seconds(value, key: str, record: dict) -> float:
     if finite(value):
         return float(value)
-    raise ManifestError(f"bad manifest record {record!r}: {key} must be a finite number")
+    raise ManifestError(f"bad manifest record {_shown(record)}: {key} must be a finite number")
+
+
+def _shown(value) -> str:
+    """repr(value) for a message, or its type where nesting runs repr out of stack."""
+    try:
+        return repr(value)
+    except RecursionError:
+        return f"a {type(value).__name__} nested too deep to show"
 
 
 # Manifest values carry six decimals, so adjacent entries can disagree by

@@ -109,6 +109,6 @@ class StreamingSegmenter(PauseScan):
             engine.frames_pushed, engine.segment_start, engine._run_start = n, start, run
             engine._finished = state["finished"]
             engine._pauses = [Pause.from_frames(a, b, fm) for a, b in state["pauses"]]
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"not a version {_STATE_VERSION} checkpoint: {exc}") from exc
         return engine

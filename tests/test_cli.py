@@ -320,6 +320,15 @@ class TestConfigResolution:
         entries, _ = read_manifest(out)
         assert entries[0].duration == 14.0
 
+    @pytest.mark.parametrize("source", ["env", "config"])
+    @pytest.mark.parametrize("text, dropped", [(" yes ", True), ("\tON", True), ("Off ", False)])
+    def test_boolean_text_ignores_case_and_padding(self, talk_wav, tmp_path, monkeypatch,
+                                                   source, text, dropped):
+        out = tmp_path / "m.yaml"
+        positionals = ["--strategy", "vad", "-o", out, talk_wav]
+        assert run_from(source, tmp_path, monkeypatch, "segment", "emit_dropped", text, positionals) == 0
+        assert any(e.dropped for e in read_manifest(out)[0]) == dropped
+
     def test_quoted_value_keeps_its_hash(self, talk_wav, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "run.conf"
@@ -1364,8 +1373,13 @@ class TestMistypedManifest:
             '{"wav": "a.wav", "offset": 0.0, "duration": 1.0, "dropped": "false"}\n',
             "- {wav: a.wav, offset: 0.0, duration: 1.0}\n- {wav: a.wav, offset: 0.5, duration: 0.5}\n",
             '{"pausecut_manifest": 1, "config": 5}\n{"wav": "a.wav", "offset": 0.0, "duration": 1.0}\n',
+            '{"wav": "a.wav", "offset": 0, "duration": 1, "x": 1%s}\n' % ("0" * 4999),
+            '{"pausecut_manifest": 1}\n{"wav": "a.wav", "offset": 0, "duration": 1, "x": %s}\n'
+            % ("[" * 100_000 + "]" * 100_000),
+            "- %s\n" % ("[" * 12_000 + "]" * 12_000),  # libyaml loads it; repr() cannot show it
         ],
-        ids=["wav-bool", "offset-nan", "duration-inf", "dropped-str", "overlap", "config-int"],
+        ids=["wav-bool", "offset-nan", "duration-inf", "dropped-str", "overlap", "config-int",
+             "jsonl-int-5000-digits", "jsonl-nested-100000", "yaml-nested-12000"],
     )
     @pytest.mark.parametrize("command", ["stats", "stats-json", "compare", "compare-bad-first"])
     def test_exits_1_naming_the_file(self, tmp_path, capsys, text, command):
@@ -1382,7 +1396,7 @@ class TestMistypedManifest:
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert f"malformed manifest {bad}" in captured.err
-        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def strict_json(text: str):

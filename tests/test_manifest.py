@@ -207,6 +207,20 @@ class TestNormalization:
             (6.0, 8.0, False),
         ]
 
+    def test_seams_of_exactly_the_tolerance_are_contiguous(self):
+        # a gap of exactly SEAM_TOLERANCE, then an overlap of exactly it, then a
+        # total exactly that far past or short of the last end: no piece, no refusal
+        tol = SEAM_TOLERANCE
+        second = 1.0 + tol
+        third = second + 1.0 - tol
+        entries = [ManifestEntry("a", 0.0, 1.0), ManifestEntry("a", second, 1.0),
+                   ManifestEntry("a", third, 1.0)]
+        end = third + 1.0
+        tiling = [(0.0, 1.0, True), (1.0, second + 1.0, True), (second + 1.0, end, True)]
+        for total in (None, end + tol, end - tol):
+            segs = entries_to_segments(entries, total)
+            assert [(s.start, s.end, s.kept) for s in segs] == tiling, total
+
     def test_seam_snapping(self):
         # six-decimal rounding can leave microsecond seams; they are not gaps
         entries = [ManifestEntry("a", 0.0, 1.000001), ManifestEntry("a", 1.0, 1.0)]
@@ -468,12 +482,22 @@ class TestYamlLoader:
             ("{wav: a.wav, offset: 0.0, duration: 1.0}\n", "invalid JSON"),
             ('{"pausecut_manifest": 1, "config": 5}\n', "config must be a mapping"),
             ('{"pausecut_manifest": 1, "config": {}}\n5\n', "record must be a mapping"),
+            # json.loads raises ValueError, not JSONDecodeError, past its int-digit
+            # limit (4,300), and RecursionError past every Python's nesting limit
+            ('{"pausecut_manifest": 1}\n{"wav": "a.wav", "offset": 0, "duration": 1, "x": 1%s}\n'
+             % ("0" * 4999), "invalid JSON on line 2"),
+            ('{"pausecut_manifest": 1, "config": {"x": 1%s}}\n' % ("0" * 4999), "invalid JSON on line 1"),
+            ('{"pausecut_manifest": 1}\n{"wav": "a.wav", "offset": 0, "duration": 1, "x": %s}\n'
+             % ("[" * 100_000 + "]" * 100_000), "invalid JSON on line 2"),
+            ('{"pausecut_manifest": 1, "config": {"x": %s}}\n' % ("[" * 100_000 + "]" * 100_000),
+             "invalid JSON on line 1"),
         ],
         ids=[
             "unclosed-list", "non-list", "missing-key", "bad-jsonl", "unclosed-quote",
             "unclosed-mapping", "reserved-indicator", "undefined-alias", "bad-number",
             "non-mapping-record", "jsonl-looking", "config-not-mapping",
-            "jsonl-non-mapping-record",
+            "jsonl-non-mapping-record", "jsonl-int-5000-digits", "jsonl-header-int-5000-digits",
+            "jsonl-nested-100000", "jsonl-header-nested-100000",
         ],
     )
     def test_invalid_manifests_raise_under_each_loader(self, loader, text, match):
@@ -661,6 +685,27 @@ class TestRecordTypes:
     def test_mistyped_value_rejected(self, loader, text):
         with pytest.raises(ManifestError, match="bad manifest record"):
             parse_manifest(text)
+
+    # libyaml loads 12,000 levels (it crashes near 25,000); SafeLoader runs out of
+    # recursion near 500, and repr() past 10,000 levels on Python 3.10 to 3.13
+    DEEP = "[" * 12_000 + "]" * 12_000
+
+    @pytest.mark.parametrize(
+        "text, refusal",
+        [
+            (f"- {DEEP}\n", "manifest record must be a mapping"),
+            (f"- {{wav: 1, offset: 0, duration: 1, x: {DEEP}}}\n", "wav must be a string"),
+            (f"- {{wav: {DEEP}, offset: 0.000000, duration: 1.000000}}\n", "wav must be a string"),
+        ],
+        ids=["record", "extra-key", "wav-written-back"],
+    )
+    def test_deep_nesting_refused(self, loader, text, refusal):
+        with pytest.raises(ManifestError) as caught:
+            parse_manifest(text)
+        if loader is yaml.SafeLoader:
+            refusal = "invalid YAML manifest: maximum recursion depth exceeded"
+        assert refusal in str(caught.value)
+        assert "\n" not in str(caught.value)
 
     def test_integer_seconds_and_explicit_dropped_accepted(self, loader):
         text = (

@@ -486,6 +486,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "blob",
         [b"", b"[2]", b'"version"', b'{"version": 1}', b'{"version": 2}', b"\xff\xfe\x00"]
+        + [pytest.param(b"[" * 100_000, id="nested-past-the-recursion-limit")]
         + [pytest.param(blob, id=name) for name, blob in _IMPOSSIBLE.items()],
     )
     def test_malformed_blob(self, blob):
